@@ -23,10 +23,10 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "TruncationWarning",
@@ -157,6 +157,15 @@ class Observable:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
 
 
+@lru_cache(maxsize=16)
+def leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit Gauss-Legendre rule on [-1, 1], read-only and cached per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Integration nodes and weights for quadrature-representation integrals."""
@@ -189,7 +198,7 @@ class QuadratureGrid:
     @classmethod
     def gauss_legendre(cls, half_width: float, n: int = 400) -> "QuadratureGrid":
         """Gauss-Legendre rule on [-half_width, half_width]."""
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = leggauss(n)
         return cls(x * half_width, w * half_width)
 
     @classmethod
@@ -282,9 +291,11 @@ def _check_truncation(load: float, dim: int, strict: bool) -> None:
 
 
 def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
-    """exp(alpha a^dag - alpha* a) as a dense matrix exponential."""
+    """exp(alpha a^dag - alpha* a) = exp(-i G) through the eigendecomposition
+    of the Hermitian generator G = i(alpha a^dag - alpha* a)."""
     a = _ladder(dim)
-    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+    lam, v = np.linalg.eigh(1j * (alpha * a.conj().T - np.conj(alpha) * a))
+    return (v * np.exp(-1j * lam)) @ v.conj().T
 
 
 def coherent_state(alpha: complex, dim: int, strict: bool = False) -> DensityOperator:

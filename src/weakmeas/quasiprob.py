@@ -141,16 +141,17 @@ class QuasiDistribution:
         return self.kind in ("T", "T_eta")
 
 
-def _cross_kernel(rho: DensityOperator, basis: BasisPair) -> np.ndarray:
-    """<xi_j|rho|phi_i> as an (n_phi, n_xi) array."""
+def _cross_kernel(rho: DensityOperator, basis: BasisPair, psi: np.ndarray) -> np.ndarray:
+    """<xi_j|rho|phi_i> as an (n_phi, n_xi) array; ``psi`` holds psi_n(phi_i)."""
     if rho.dim != basis.dim:
         raise ValueError(f"state dim {rho.dim} does not match basis dim {basis.dim}")
-    return (basis.xi_matrix.conj().T @ rho.matrix @ basis.phi_table).T
+    return (basis.xi_matrix.conj().T @ rho.matrix @ psi).T
 
 
 def s_distribution(rho: DensityOperator, basis: BasisPair) -> QuasiDistribution:
     """Complex quasi-distribution <phi|xi><xi|rho|phi> on the basis grids."""
-    return QuasiDistribution(basis.overlap * _cross_kernel(rho, basis), basis, "S")
+    return QuasiDistribution(basis.overlap * _cross_kernel(rho, basis, basis.phi_table),
+                             basis, "S")
 
 
 def t_distribution(dist: QuasiDistribution) -> QuasiDistribution:
@@ -243,37 +244,29 @@ def weak_value_from_distribution(rho: DensityOperator, nu: Observable,
     by the smeared distribution mass.  The product S_nu * S equals
     <phi|nu|xi><xi|rho|phi> with no overlap division, so points where the
     representation alone would be undefined contribute their finite limit.
+    A projective kernel reads the single row at the exact postselection
+    value; a smearing kernel weights the rows of the phi grid.
     """
-    cross = _cross_kernel(rho, basis)
+    if kernel.is_projective:
+        rows = np.array([float(phi)])
+        psi = wavefunction_table(basis.dim, rows)
+        row_weights = np.ones(1)
+        if basis.xi_kind == "momentum":
+            overlap = np.exp(1j * np.outer(rows, basis.xi_points)) / math.sqrt(2.0 * math.pi)
+        else:
+            overlap = psi.T @ basis.xi_matrix
+    else:
+        rows, psi, overlap = basis.phi_grid.points, basis.phi_table, basis.overlap
+        row_weights = kernel(phi, rows) * basis.phi_grid.weights
+    cross = _cross_kernel(rho, basis, psi)
     if basis.xi_kind == "momentum":
         if nu.phase_space_symbol is None:
             raise ValueError("momentum-basis evaluation needs a phase-space symbol")
-        q = basis.phi_grid.points[:, None]
-        p = basis.xi_points[None, :]
-        product = nu.phase_space_symbol(q, p) * basis.overlap * cross
+        nu_overlap = nu.phase_space_symbol(rows[:, None], basis.xi_points[None, :]) * overlap
     else:
-        product = (basis.phi_table.T @ nu.matrix @ basis.xi_matrix) * cross
-    s_vals = basis.overlap * cross
-
-    if kernel.is_projective:
-        # single-row evaluation at the exact postselection value
-        psi = wavefunction_table(basis.dim, phi)[:, 0]
-        row_cross = basis.xi_matrix.conj().T @ rho.matrix @ psi
-        if basis.xi_kind == "momentum":
-            row_overlap = np.exp(1j * phi * basis.xi_points) / math.sqrt(2.0 * math.pi)
-            row_product = nu.phase_space_symbol(phi, basis.xi_points) * row_overlap * row_cross
-            row_s = row_overlap * row_cross
-        else:
-            row_num = psi @ nu.matrix @ basis.xi_matrix
-            row_s = (psi @ basis.xi_matrix) * row_cross
-            row_product = row_num * row_cross
-        num = np.sum(basis.xi_weights * row_product)
-        den = np.sum(basis.xi_weights * row_s)
-    else:
-        smear = kernel(np.asarray([phi])[:, None], basis.phi_grid.points[None, :])[0]
-        w_phi = smear * basis.phi_grid.weights
-        num = w_phi @ product @ basis.xi_weights
-        den = w_phi @ s_vals @ basis.xi_weights
+        nu_overlap = psi.T @ nu.matrix @ basis.xi_matrix
+    num = np.sum(basis.xi_weights * (row_weights @ (nu_overlap * cross)))
+    den = np.sum(basis.xi_weights * (row_weights @ (overlap * cross)))
     if abs(den) < 1e-14:
         raise ValueError(f"postselection mass at phi={phi} is numerically zero")
     return complex(num / den)

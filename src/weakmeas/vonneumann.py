@@ -43,6 +43,7 @@ from .fockspace import (
     wavefunction_table,
 )
 from .povm import DetectorKernel, delta_kernel, smear_matrix
+from .weakvalues import weak_value
 
 __all__ = [
     "UnsupportedPointerError",
@@ -350,15 +351,6 @@ def conditional_pointer_shift(table: JointOutcomeTable, phi: float,
 # ---------------------------------------------------------------------------
 # cross-Kerr coupling: eps * (n of mode a) x (n of mode b), homodyne readout
 
-def _reference_n_w(rho: DensityOperator, q: np.ndarray) -> np.ndarray:
-    """Re n_w(q) from the trace formula with projective postselection."""
-    number = make_operator("number", rho.dim)
-    table = wavefunction_table(rho.dim, q)
-    num = np.sum((number.matrix @ rho.matrix @ table) * table, axis=0)
-    den = np.sum((rho.matrix @ table) * table, axis=0).real
-    return (num / den).real
-
-
 def _kerr_conditional_mean(rho_mode, rho_pointer, epsilon, quad, q):
     """E(x_theta | q) after exp(-i eps n_a n_b), exact in eps."""
     da, db = rho_mode.dim, rho_pointer.dim
@@ -413,11 +405,12 @@ def simulate_cross_kerr(rho_a_mode: DensityOperator, rho_b_pointer: DensityOpera
     quad = (ladder * np.exp(-1j * theta) + ladder.conj().T * np.exp(1j * theta)) / math.sqrt(2.0)
 
     base = _kerr_conditional_mean(rho_a_mode, rho_b_pointer, 0.0, quad, q)
+    ref = weak_value(make_operator("number", rho_a_mode.dim), rho_a_mode,
+                     delta_kernel(), q).real
     if epsilon == 0.0:
         # zero coupling leaves the modes uncorrelated: no shift, no estimate
         zeros, nans = np.zeros(q.size), np.full(q.size, np.nan)
-        return CrossKerrResult(q, 0.0, theta, base, base.copy(), zeros, nans,
-                               nans, _reference_n_w(rho_a_mode, q))
+        return CrossKerrResult(q, 0.0, theta, base, base.copy(), zeros, nans, nans, ref)
     evolved = _kerr_conditional_mean(rho_a_mode, rho_b_pointer, epsilon, quad, q)
     shift = (evolved - base) / epsilon
 
@@ -437,7 +430,7 @@ def simulate_cross_kerr(rho_a_mode: DensityOperator, rho_b_pointer: DensityOpera
                          "nonzero quadrature sensitivity for this pointer state")
     cal = np.full(q.size, cal_value)
     return CrossKerrResult(q, float(epsilon), theta, base, evolved, shift, cal,
-                           shift / cal, _reference_n_w(rho_a_mode, q))
+                           shift / cal, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +494,7 @@ def simulate_qubit_pointer(rho_s: DensityOperator, qubit: PointerState,
         angle = np.arctan2(sy_eps, sx_eps) - np.arctan2(sy_0, sx_0)
         angle = np.mod(angle + np.pi, 2.0 * np.pi) - np.pi
         n_est = angle / (2.0 * epsilon)
-    ref = _reference_n_w(rho_s, q)
+    ref = weak_value(make_operator("number", rho_s.dim), rho_s, delta_kernel(), q).real
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio_y = np.where(np.abs(ref) > 1e-12, sy_slope / ref, np.nan)
         ratio_x = np.where(np.abs(ref) > 1e-12, sx_slope / ref, np.nan)

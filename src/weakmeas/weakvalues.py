@@ -26,6 +26,11 @@ and n (Gaussian conditional moments of the smeared quasi-distribution).
 The closed forms double as oracles for the Fock-space trace formula and
 vice versa; neither path is derived from the other in code.
 
+With a Gaussian kernel and no explicit grid, the trace formula integrates
+psi_m psi_n Pi(phi, .), a polynomial of degree <= 2 dim - 2 times a Gaussian,
+by the Gauss-Hermite rule of dim nodes centred on that Gaussian, which is
+exact (Golub & Welsch, Math. Comp. 23, 221 (1969)) at every efficiency.
+
 Negative-readout probabilities are computed two independent ways: via the
 complementary error function where a closed form exists, and always via
 numeric quadrature of the postselection density over the region where the
@@ -39,13 +44,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc
 
 from .fockspace import (
     DensityOperator,
     Observable,
     QuadratureGrid,
     default_grid,
+    leggauss,
     wavefunction_table,
 )
 from .povm import DetectorKernel
@@ -81,16 +86,15 @@ def marginal_density(q, alpha_r: float, n_th: float, sigma_eta: float):
     return np.exp(-((q - alpha_r) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
-def _adaptive_points(half_width: float, width: float) -> int:
-    # resolve sharp kernels: keep several Gauss-Legendre nodes per kernel width
-    if not math.isfinite(width) or width <= 0:
-        return 400
-    return int(min(3000, max(400, math.ceil(12.0 * half_width / width))))
-
-
-def _sandwich_diagonal(op: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """<q_i|op|q_i> for every column of a wavefunction table."""
-    return np.sum((op @ table) * table, axis=0)
+@lru_cache(maxsize=8)
+def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes x and weights w e^{x^2}, for integrands evaluated
+    with their Gaussian; 1/sum_k psi_k(x)^2 neither under- nor overflows."""
+    x, _ = np.polynomial.hermite.hermgauss(n)
+    w = 1.0 / np.sum(wavefunction_table(n, x) ** 2, axis=0)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def weak_value(nu: Observable, rho: DensityOperator, kernel: DetectorKernel,
@@ -98,28 +102,33 @@ def weak_value(nu: Observable, rho: DensityOperator, kernel: DetectorKernel,
     """Weak value by the trace formula, for any state and Hermitian observable.
 
     With a projective kernel this reduces to <phi|nu rho|phi>/<phi|rho|phi>.
-    ``phi`` may be an array, in which case the state-dependent diagonals are
-    computed once and an array of weak values is returned.
+    A Gaussian kernel with no ``grid`` is integrated exactly by Gauss-Hermite
+    quadrature, other kernels on ``grid`` (default ``default_grid(dim)``).
+    ``phi`` may be an array, in which case an array of weak values is returned.
     """
     if nu.dim != rho.dim:
         raise ValueError(f"observable dim {nu.dim} != state dim {rho.dim}")
     scalar = np.isscalar(phi)
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     if kernel.is_projective:
-        table = wavefunction_table(rho.dim, phi)
-        num = _sandwich_diagonal(nu.matrix @ rho.matrix, table)
-        den = _sandwich_diagonal(rho.matrix, table).real
+        nodes, smear = phi[:, None], 1.0
     else:
-        if grid is None:
-            base = default_grid(dim=rho.dim)
-            n = _adaptive_points(base.half_width, kernel.width_sigma_eta)
-            grid = default_grid(dim=rho.dim, points=n)
-        table = wavefunction_table(rho.dim, grid.points)
-        f_num = _sandwich_diagonal(nu.matrix @ rho.matrix, table)
-        f_den = _sandwich_diagonal(rho.matrix, table).real
-        smear = kernel(phi[:, None], grid.points[None, :]) * grid.weights[None, :]
-        num = smear @ f_num
-        den = smear @ f_den
+        if grid is None and kernel.kind == "gaussian":
+            # psi_m psi_n times the kernel is a polynomial times
+            # exp(-a (x - m)^2), a = 1 + 1/(2 s^2), m = phi/(1 + 2 s^2)
+            x, w = _hermite_rule(rho.dim)
+            s2 = kernel.width_sigma_eta ** 2
+            root_a = math.sqrt(1.0 + 0.5 / s2)
+            nodes, weights = (phi / (1.0 + 2.0 * s2))[:, None] + x / root_a, w / root_a
+        else:
+            grid = grid or default_grid(dim=rho.dim)
+            nodes, weights = grid.points[None, :], grid.weights
+        smear = kernel(phi[:, None], nodes) * weights
+    table = wavefunction_table(rho.dim, nodes.ravel())
+    f_num = np.sum((nu.matrix @ rho.matrix @ table) * table, axis=0).reshape(nodes.shape)
+    f_den = np.sum((rho.matrix @ table) * table, axis=0).real.reshape(nodes.shape)
+    num = np.sum(smear * f_num, axis=1)
+    den = np.sum(smear * f_den, axis=1)
     if np.any(den < 1e-14):
         bad = phi[den < 1e-14]
         raise UndefinedWeakValueError(
@@ -263,7 +272,7 @@ def _closed_form(profile: WeakValueProfile) -> float | None:
     st2 = profile.n_th + 0.5
     v = st2 + profile.sigma_eta ** 2
     if profile.observable == "p2":
-        return float(erfc(math.sqrt(0.5 + 2.0 * (ai * ai + st2) * v)))
+        return math.erfc(math.sqrt(0.5 + 2.0 * (ai * ai + st2) * v))
     if profile.n_th != 0.0 or profile.sigma_eta != 0.0:
         return None
     if ar == 0.0:
@@ -271,16 +280,10 @@ def _closed_form(profile: WeakValueProfile) -> float | None:
         # though it tends to 1/2 (for n) as alpha_r -> 0
         return 0.0
     if profile.observable == "H":
-        return float(0.5 * erfc((1.0 + ar * ar + ai * ai) / (2.0 * abs(ar))))
+        return 0.5 * math.erfc((1.0 + ar * ar + ai * ai) / (2.0 * abs(ar)))
     if profile.observable == "n":
-        return float(0.5 * erfc((ar * ar + ai * ai) / (2.0 * abs(ar))))
+        return 0.5 * math.erfc((ar * ar + ai * ai) / (2.0 * abs(ar)))
     return None
-
-
-@lru_cache(maxsize=8)
-def _panel_rule(nodes: int):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return x, w
 
 
 def _quadrature(profile: WeakValueProfile, intervals: tuple, nodes: int = 200) -> float:
@@ -290,7 +293,7 @@ def _quadrature(profile: WeakValueProfile, intervals: tuple, nodes: int = 200) -
     mean = profile.alpha_r
     sd = math.sqrt(profile.n_th + 0.5 + profile.sigma_eta ** 2)
     lo_cut, hi_cut = mean - 12.0 * sd, mean + 12.0 * sd
-    x, w = _panel_rule(nodes)
+    x, w = leggauss(nodes)
     total = 0.0
     for lo, hi in intervals:
         lo, hi = max(lo, lo_cut), min(hi, hi_cut)

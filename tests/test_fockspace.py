@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+import weakmeas
 from weakmeas import (
     QuadratureGrid,
     TruncationWarning,
@@ -18,6 +23,7 @@ from weakmeas import (
     thermal_state,
     wavefunction_table,
 )
+from weakmeas.fockspace import displacement_operator
 
 
 def test_number_operator_diagonal():
@@ -237,3 +243,20 @@ def test_wavefunction_table_shape_and_tail():
     table = wavefunction_table(25, np.array([-14.0, 0.0, 14.0]))
     assert table.shape == (25, 3)
     assert np.all(np.abs(table[:, [0, 2]]) < 1e-12)  # far tails vanish
+
+
+@pytest.mark.parametrize("dim", [40, 120])
+def test_displacement_operator_matches_expm(dim):
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
+    for alpha in (alpha_from_quadratures(1.0, 0.3), alpha_from_quadratures(-2.5, 1.7)):
+        reference = expm(alpha * a.T - np.conj(alpha) * a)
+        assert np.max(np.abs(displacement_operator(alpha, dim) - reference)) < 1e-13
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(weakmeas.__file__))
+    code = ("import sys, weakmeas; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

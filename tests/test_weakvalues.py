@@ -137,6 +137,20 @@ def test_closed_profiles_match_trace_formula(rng):
     assert worst < 1e-6
 
 
+@pytest.mark.parametrize("eta", [0.5, 0.9, 0.999, 0.9999, 0.99999])
+def test_gaussian_weak_value_without_grid_is_exact(eta):
+    """With no grid the Gaussian kernel is integrated exactly, so the trace
+    route meets the closed profiles however narrow the kernel is."""
+    dim = 40
+    sigma = sigma_from_efficiency(eta)
+    rho = displaced_thermal_state(alpha_from_quadratures(1.0, 0.3), 0.2, dim)
+    q = np.linspace(-1.5, 3.5, 11)
+    for kind, build in (("momentum_squared", p2_closed_profile),
+                        ("hamiltonian", h_closed_profile), ("number", n_closed_profile)):
+        wv = weak_value(make_operator(kind, dim), rho, gaussian_kernel(sigma), q)
+        assert np.max(np.abs(wv - build(1.0, 0.3, 0.2, sigma).value(q))) < 1e-10
+
+
 def test_profile_roots_are_true_zeros(rng):
     builders = (p2_closed_profile, h_closed_profile, n_closed_profile)
     for _ in range(60):
