@@ -349,17 +349,23 @@ def wavefunction_table(dim: int, q) -> np.ndarray:
     """psi_n(q) for n = 0..dim-1 over an array of positions, shape (dim, len(q)).
 
     Uses the normalized recurrence
-    psi_{n+1} = sqrt(2/(n+1)) q psi_n - sqrt(n/(n+1)) psi_{n-1},
-    which is overflow-free for any n reached here.
+    psi_{n+1} = sqrt(2/(n+1)) q psi_n - sqrt(n/(n+1)) psi_{n-1}, in range
+    since |psi_n| <= pi^(-1/4); where e^{-q^2/2} underflows (|q| > 37) a column
+    holds psi_n 2^-e, integer e < 0, moving 2^512 into e whenever it passes that.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     out = np.empty((dim, q.size))
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * q * q)
+    e = np.minimum(0.0, np.ceil((690.0 - 0.5 * q * q) / math.log(2.0))).astype(int)
+    far = bool(e.any())
+    out[0] = np.pi ** -0.25 * np.exp(-0.5 * q * q - e * math.log(2.0))
     if dim > 1:
         out[1] = math.sqrt(2.0) * q * out[0]
     for n in range(1, dim - 1):
         out[n + 1] = math.sqrt(2.0 / (n + 1)) * q * out[n] - math.sqrt(n / (n + 1.0)) * out[n - 1]
-    return out
+        if far and np.abs(out[n + 1]).max() > 2.0 ** 512:
+            big = np.abs(out[n + 1]) > 2.0 ** 512
+            out[:n + 2, big], e[big] = out[:n + 2, big] * 2.0 ** -512, e[big] + 512
+    return np.ldexp(out, e) if far else out
 
 
 def quadrature_wavefunction(n: int, q):

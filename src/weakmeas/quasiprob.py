@@ -248,9 +248,8 @@ def weak_value_from_distribution(rho: DensityOperator, nu: Observable,
     value; a smearing kernel weights the rows of the phi grid.
     """
     if kernel.is_projective:
-        rows = np.array([float(phi)])
+        rows, row_weights = np.array([float(phi)]), np.ones(1)
         psi = wavefunction_table(basis.dim, rows)
-        row_weights = np.ones(1)
         if basis.xi_kind == "momentum":
             overlap = np.exp(1j * np.outer(rows, basis.xi_points)) / math.sqrt(2.0 * math.pi)
         else:

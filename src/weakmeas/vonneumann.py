@@ -123,11 +123,6 @@ class PointerState:
                              f"got {s_x * s_x + s_y * s_y:.6f}")
         return cls("qubit", s_x=float(s_x), s_y=float(s_y))
 
-    def mean_position(self) -> float:
-        if self.kind != "gaussian_mixture":
-            raise UnsupportedPointerError("mean position is defined for Gaussian mixtures")
-        return float(np.sum(self.weights * self.centers))
-
     def amplitudes(self, Q, shifts=0.0) -> np.ndarray:
         """Component wavefunctions evaluated at Q - shift, shape
         (n_components, n_shifts, n_Q); ``shifts`` broadcasts over axis 1."""

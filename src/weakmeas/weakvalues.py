@@ -88,9 +88,9 @@ def marginal_density(q, alpha_r: float, n_th: float, sigma_eta: float):
 
 @lru_cache(maxsize=8)
 def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes x and weights w e^{x^2}, for integrands evaluated
-    with their Gaussian; 1/sum_k psi_k(x)^2 neither under- nor overflows."""
-    x, _ = np.polynomial.hermite.hermgauss(n)
+    """Gauss-Hermite nodes x (Golub-Welsch) and weights w e^{x^2} =
+    1/sum_k psi_k(x)^2, finite at any n (hermgauss nodes are NaN from n = 741)."""
+    x = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1.0, n) / 2.0), -1))
     w = 1.0 / np.sum(wavefunction_table(n, x) ** 2, axis=0)
     x.setflags(write=False)
     w.setflags(write=False)

@@ -1,3 +1,4 @@
+import decimal
 import math
 import os
 import subprocess
@@ -243,6 +244,26 @@ def test_wavefunction_table_shape_and_tail():
     table = wavefunction_table(25, np.array([-14.0, 0.0, 14.0]))
     assert table.shape == (25, 3)
     assert np.all(np.abs(table[:, [0, 2]]) < 1e-12)  # far tails vanish
+
+
+@pytest.mark.parametrize("q", [-45.0, 60.0])
+def test_wavefunction_table_past_gaussian_underflow(q):
+    """Where e^{-q^2/2} underflows, every psi_n that is a normal double still
+    matches the recurrence run in 60-digit decimal arithmetic."""
+    dim = 2000
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x, one = decimal.Decimal(q), decimal.Decimal(1)
+        ref = [0, (-x * x / 2).exp() / decimal.Decimal(math.pi).sqrt().sqrt()]
+        for n in range(dim - 1):
+            ref.append((2 * one / (n + 1)).sqrt() * x * ref[-1]
+                       - (n * one / (n + 1)).sqrt() * ref[-2])
+    ref = np.array([float(v) for v in ref[1:]])
+    table = wavefunction_table(dim, np.array([q]))[:, 0]
+    normal = np.abs(ref) > 1e-300
+    assert normal.sum() > 500
+    assert np.max(np.abs(table[~normal])) < 2e-300
+    assert np.max(np.abs(table[normal] - ref[normal]) / np.abs(ref[normal])) < 1e-9
 
 
 @pytest.mark.parametrize("dim", [40, 120])

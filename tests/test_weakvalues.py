@@ -151,6 +151,17 @@ def test_gaussian_weak_value_without_grid_is_exact(eta):
         assert np.max(np.abs(wv - build(1.0, 0.3, 0.2, sigma).value(q))) < 1e-10
 
 
+def test_gaussian_weak_value_without_grid_is_exact_at_large_dim():
+    """At dim 800 numpy's hermgauss nodes are NaN and e^{-x^2/2} underflows at the
+    outer nodes (|x| = 39.5); the rule stays finite and exact."""
+    dim = 800
+    sigma = sigma_from_efficiency(0.9)
+    rho = displaced_thermal_state(alpha_from_quadratures(1.0, 0.3), 0.2, dim)
+    q = np.array([-1.5, 1.0, 3.5])
+    wv = weak_value(make_operator("hamiltonian", dim), rho, gaussian_kernel(sigma), q)
+    assert np.max(np.abs(wv - h_closed_profile(1.0, 0.3, 0.2, sigma).value(q))) < 1e-10
+
+
 def test_profile_roots_are_true_zeros(rng):
     builders = (p2_closed_profile, h_closed_profile, n_closed_profile)
     for _ in range(60):
