@@ -3,9 +3,10 @@ figure data, distribution grids and pointer simulations.
 
 Every command is deterministic given its flags.  Numbers are written with 17
 significant digits so CSV output round-trips to the exact double.  Exit
-codes: 0 success, 1 usage error, 2 numerical-domain error.  A flat JSON
-config file can preload any flag (``--config``); explicit flags win.  The
-environment variable WEAKMEAS_DIM overrides the default Fock truncation.
+codes: 0 success, 1 usage error, 2 numerical-domain error, such as a
+non-finite number in any flag.  A flat JSON config file can preload any flag
+(``--config``); explicit flags win.  The environment variable WEAKMEAS_DIM
+overrides the default Fock truncation.
 """
 
 from __future__ import annotations
@@ -151,6 +152,9 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     for key, fallback in defaults.items():
         flag = getattr(args, key, None)
         merged[key] = flag if flag is not None else cfg.get(key, fallback)
+        if isinstance(merged[key], float) and not math.isfinite(merged[key]):
+            raise ValueError(f"--{key.replace('_', '-')} must be finite, "
+                             f"got {merged[key]}")
     return merged
 
 
@@ -353,17 +357,20 @@ def _simulate_generic(opts) -> dict:
     else:
         reference = _PROFILE_BUILDERS[opts["observable"]](
             opts["alpha_r"], opts["alpha_i"], opts["nth"], sigma_eta).real_value(q)
+    if eps == 0.0:
+        return {"shift_over_epsilon": 0.0, "reference_re_weak_value": reference,
+                "relative_deviation": math.nan, "richardson_ratio": math.nan,
+                "note": "zero coupling leaves the joint state a product"}
 
-    q_grid = vonneumann._default_pointer_grid(
-        vonneumann.evolve_exact(rho, pointer, nu, eps))
-
-    def table(e):
+    def table(e, q_grid=None):
         joint = vonneumann.evolve_exact(rho, pointer, nu, e)
         return vonneumann.joint_distribution(joint, kernel_phi, None, phi_grid, q_grid)
 
-    baseline = table(0.0)
-    shift = vonneumann.conditional_pointer_shift(table(eps), q, baseline)
-    shift_half = vonneumann.conditional_pointer_shift(table(eps / 2.0), q, baseline)
+    full = table(eps)  # its default Q grid covers the largest pointer translation
+    baseline = table(0.0, full.Q_grid)
+    shift = vonneumann.conditional_pointer_shift(full, q, baseline)
+    shift_half = vonneumann.conditional_pointer_shift(table(eps / 2.0, full.Q_grid),
+                                                      q, baseline)
     dev, dev_half = abs(shift - reference), abs(shift_half - reference)
     return {"shift_over_epsilon": shift,
             "reference_re_weak_value": reference,
@@ -409,12 +416,7 @@ def cmd_simulate(args) -> int:
         "pointer_boost": 0.0, "sx": 1.0, "sy": 0.0, "beta_r": 1.0,
         "beta_i": 0.0, "readout_phase": math.pi / 2, "dim": None})
     if opts["coupling"] == "generic":
-        if opts["epsilon"] == 0.0:
-            results = {"shift_over_epsilon": 0.0, "reference_re_weak_value": 0.0,
-                       "relative_deviation": 0.0, "richardson_ratio": math.nan,
-                       "note": "zero coupling leaves the joint state a product"}
-        else:
-            results = _simulate_generic(opts)
+        results = _simulate_generic(opts)
     elif opts["coupling"] == "kerr":
         results = _simulate_kerr(opts)
     else:

@@ -21,9 +21,16 @@ Two physical couplings where the pointer is not a free particle are
 simulated exactly as well: a second field mode coupled through the
 photon-number product (cross-Kerr, homodyne readout of a pointer
 quadrature) and a two-level atom coupled through number x sigma_z
-(readout of the equatorial Bloch components).  In both, the response
-slope is proportional to Re n_w; the proportionality constant is
-measured against a Fock-state calibration run, not assumed.
+(readout of the equatorial Bloch components).  Both couplings are
+eps n x diag(g), with g = (0, 1, ..., d_b - 1) for the mode and g = (+1, -1)
+for the atom, so one contraction gives the pointer state conditioned on the
+postselected position q, exact in eps:
+
+    rho_b[m, m'] sum_nn' psi_n(q) rho[n, n'] psi_n'(q) e^{-i eps (n g_m - n' g_m')}.
+
+At eps = 0 the two stay uncorrelated and the readout R reads Tr(rho_b R).
+In both, the response slope is proportional to Re n_w; the proportionality
+constant is measured against a Fock-state calibration run, not assumed.
 """
 
 from __future__ import annotations
@@ -156,10 +163,8 @@ def check_zero_current(pointer: PointerState,
     eigenstates and holds identically for equatorial Bloch states.
     """
     if pointer.kind == "qubit":
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        sz = np.diag([1.0, -1.0]).astype(complex)
-        rho = 0.5 * (np.eye(2) + pointer.s_x * sx + pointer.s_y * sy)
+        rho = _qubit_rho(pointer)
+        sz = np.diag([1.0, -1.0])
         anti = sz @ rho + rho @ sz
         plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
         minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
@@ -344,29 +349,29 @@ def conditional_pointer_shift(table: JointOutcomeTable, phi: float,
 
 
 # ---------------------------------------------------------------------------
+# discrete pointers: eps * n x diag(g), conditioned on a postselected position
+
+def _pointer_given_q(rho, g, rho_pointer, epsilon, q):
+    """Normalized pointer states given each postselection q after
+    exp(-i eps n x diag(g)), exact in eps; shape (n_q, len(g), len(g))."""
+    phases = np.exp(-1j * epsilon * np.outer(np.arange(rho.dim), g))
+    left = wavefunction_table(rho.dim, q).T[:, :, None] * phases  # (n_q, dim, len(g))
+    states = rho_pointer * (np.swapaxes(left, 1, 2) @ (rho.matrix @ left.conj()))
+    norm = np.trace(states, axis1=1, axis2=2).real
+    if np.any(norm < 1e-14):
+        raise ValueError(f"postselection probability below 1e-14 at "
+                         f"q={q[norm < 1e-14].tolist()}")
+    return states / norm[:, None, None]
+
+
+def _qubit_rho(pointer: PointerState) -> np.ndarray:
+    """(1 + s_x sigma_x + s_y sigma_y)/2 of an equatorial qubit pointer."""
+    off = (pointer.s_x - 1j * pointer.s_y) / 2.0
+    return np.array([[0.5, off], [np.conj(off), 0.5]])
+
+
+# ---------------------------------------------------------------------------
 # cross-Kerr coupling: eps * (n of mode a) x (n of mode b), homodyne readout
-
-def _kerr_conditional_mean(rho_mode, rho_pointer, epsilon, quad, q):
-    """E(x_theta | q) after exp(-i eps n_a n_b), exact in eps."""
-    da, db = rho_mode.dim, rho_pointer.dim
-    lam, u = np.linalg.eigh(rho_mode.matrix)
-    keep = lam > RANK_CLIP * lam.max()
-    lam, u = lam[keep], u[:, keep]
-    phases = np.exp(-1j * epsilon * np.outer(np.arange(da), np.arange(db)))
-    psi = wavefunction_table(da, q)                      # (da, n_q)
-    means = np.empty(q.size)
-    for i in range(q.size):
-        weighted = psi[:, i][:, None] * u                # (da, rank)
-        d = phases.T @ weighted                          # (db, rank)
-        w = (d * lam[None, :]) @ d.conj().T              # (db, db)
-        a = rho_pointer.matrix * w                       # A_mm' = rho_b[m,m'] W[m,m']
-        den = np.trace(a).real
-        if den < 1e-14:
-            raise ValueError(f"postselection probability at q={q[i]} is "
-                             f"numerically zero")
-        means[i] = float(np.trace(a @ quad).real / den)
-    return means
-
 
 @dataclass(frozen=True)
 class CrossKerrResult:
@@ -399,14 +404,18 @@ def simulate_cross_kerr(rho_a_mode: DensityOperator, rho_b_pointer: DensityOpera
     theta = float(readout_quadrature_phase)
     quad = (ladder * np.exp(-1j * theta) + ladder.conj().T * np.exp(1j * theta)) / math.sqrt(2.0)
 
-    base = _kerr_conditional_mean(rho_a_mode, rho_b_pointer, 0.0, quad, q)
+    def mean(states):
+        return np.einsum("imk,km->i", states, quad).real
+
+    base = np.full(q.size, np.trace(rho_b_pointer.matrix @ quad).real)
     ref = weak_value(make_operator("number", rho_a_mode.dim), rho_a_mode,
                      delta_kernel(), q).real
     if epsilon == 0.0:
         # zero coupling leaves the modes uncorrelated: no shift, no estimate
         zeros, nans = np.zeros(q.size), np.full(q.size, np.nan)
         return CrossKerrResult(q, 0.0, theta, base, base.copy(), zeros, nans, nans, ref)
-    evolved = _kerr_conditional_mean(rho_a_mode, rho_b_pointer, epsilon, quad, q)
+    g = np.arange(db)
+    evolved = mean(_pointer_given_q(rho_a_mode, g, rho_b_pointer.matrix, epsilon, q))
     shift = (evolved - base) / epsilon
 
     # calibration: with mode a in the one-photon state the weak value is 1 at
@@ -415,11 +424,9 @@ def simulate_cross_kerr(rho_a_mode: DensityOperator, rho_b_pointer: DensityOpera
     # q = 0 fixes the shift-to-weak-value constant
     one = np.zeros((rho_a_mode.dim, rho_a_mode.dim), dtype=complex)
     one[1, 1] = 1.0
-    fock1 = DensityOperator(one)
-    q_cal = np.array([1.0])
-    cal_value = float(
-        (_kerr_conditional_mean(fock1, rho_b_pointer, epsilon, quad, q_cal)
-         - _kerr_conditional_mean(fock1, rho_b_pointer, 0.0, quad, q_cal))[0]) / epsilon
+    cal_mean = mean(_pointer_given_q(DensityOperator(one), g, rho_b_pointer.matrix,
+                                     epsilon, np.array([1.0])))[0]
+    cal_value = float(cal_mean - base[0]) / epsilon
     if abs(cal_value) < 1e-12:
         raise ValueError("calibration response vanishes; pick a readout phase with "
                          "nonzero quadrature sensitivity for this pointer state")
@@ -455,43 +462,27 @@ def simulate_qubit_pointer(rho_s: DensityOperator, qubit: PointerState,
     response slopes, their ratio to Re n_w(q) (measured proportionality,
     expected 2 s_x for sigma_y and -2 s_y for sigma_x as eps -> 0), and a
     rotation-angle estimate of the photon number that is exact for Fock
-    states at any coupling strength.
+    states at any coupling strength (NaN at eps = 0).
     """
     if qubit.kind != "qubit":
         raise UnsupportedPointerError("this coupling needs a qubit pointer")
     q = np.atleast_1d(np.asarray(postselect_q, dtype=float))
-    n = np.arange(rho_s.dim)
-    psi = wavefunction_table(rho_s.dim, q)
-    a_pm = (qubit.s_x - 1j * qubit.s_y) / 2.0
-
-    def bloch(eps):
-        up = np.exp(-1j * eps * n)
-        left_p = psi * up[:, None]
-        left_m = psi * up.conj()[:, None]
-        t_pp = np.einsum("ni,nm,mi->i", left_p, rho_s.matrix, left_p.conj())
-        t_mm = np.einsum("ni,nm,mi->i", left_m, rho_s.matrix, left_m.conj())
-        t_pm = np.einsum("ni,nm,mi->i", left_p, rho_s.matrix, left_m.conj())
-        norm = 0.5 * (t_pp + t_mm).real
-        if np.any(norm < 1e-14):
-            bad = q[norm < 1e-14]
-            raise ValueError(f"postselection probability numerically zero at "
-                             f"q={bad.tolist()}")
-        r01 = t_pm * a_pm / norm
-        return 2.0 * r01.real, -2.0 * r01.imag
-
-    sx_eps, sy_eps = bloch(epsilon)
-    sx_0, sy_0 = bloch(0.0)
+    ref = weak_value(make_operator("number", rho_s.dim), rho_s, delta_kernel(), q).real
     if epsilon == 0.0:
-        sx_slope = sy_slope = n_est = np.zeros(q.size)
+        sx, sy = np.full(q.size, qubit.s_x), np.full(q.size, qubit.s_y)
+        sx_slope = sy_slope = np.zeros(q.size)
+        n_est = np.full(q.size, np.nan)
     else:
-        sx_slope = (sx_eps - sx_0) / epsilon
-        sy_slope = (sy_eps - sy_0) / epsilon
-        angle = np.arctan2(sy_eps, sx_eps) - np.arctan2(sy_0, sx_0)
+        r01 = _pointer_given_q(rho_s, np.array([1.0, -1.0]), _qubit_rho(qubit),
+                               epsilon, q)[:, 0, 1]
+        sx, sy = 2.0 * r01.real, -2.0 * r01.imag
+        sx_slope = (sx - qubit.s_x) / epsilon
+        sy_slope = (sy - qubit.s_y) / epsilon
+        angle = np.arctan2(sy, sx) - math.atan2(qubit.s_y, qubit.s_x)
         angle = np.mod(angle + np.pi, 2.0 * np.pi) - np.pi
         n_est = angle / (2.0 * epsilon)
-    ref = weak_value(make_operator("number", rho_s.dim), rho_s, delta_kernel(), q).real
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio_y = np.where(np.abs(ref) > 1e-12, sy_slope / ref, np.nan)
         ratio_x = np.where(np.abs(ref) > 1e-12, sx_slope / ref, np.nan)
-    return QubitPointerResult(q, float(epsilon), sx_eps, sy_eps, sx_slope, sy_slope,
+    return QubitPointerResult(q, float(epsilon), sx, sy, sx_slope, sy_slope,
                               n_est, ref, ratio_y, ratio_x)

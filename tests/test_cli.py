@@ -201,6 +201,43 @@ def test_simulate_kerr_zero_coupling(capsys):
     assert last_json(out)["results"]["shift_over_epsilon"] == 0.0
 
 
+def test_simulate_zero_coupling_reports_alike_on_every_coupling(capsys):
+    for coupling in ("generic", "kerr", "qubit"):
+        code, out, _ = run_cli(capsys, "simulate", "--coupling", coupling,
+                               "--epsilon", "0", "--observable", "n", "--alpha-r", "1",
+                               "--postselect-q", "-1")
+        assert code == 0
+        res = last_json(out)["results"]
+        assert res["reference_re_weak_value"] == pytest.approx(-1.5, abs=1e-12)
+        for key in ("shift_over_epsilon", "sigma_x_slope", "sigma_y_slope"):
+            assert res.get(key, 0.0) == 0.0
+        assert res.get("extracted_n_w") is None
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["weak-value", "--alpha-r", "nan"], "--alpha-r"),
+    (["weak-value", "--q", "inf"], "--q"),
+    (["weak-value", "--nth", "inf"], "--nth"),
+    (["distribution", "--nth", "nan"], "--nth"),
+    (["figure", "h_ideal", "--alpha-r-min", "nan"], "--alpha-r-min"),
+    (["simulate", "--coupling", "kerr", "--epsilon", "nan"], "--epsilon"),
+    (["simulate", "--epsilon", "nan"], "--epsilon"),
+    (["simulate", "--coupling", "qubit", "--sx=-inf"], "--sx"),
+])
+def test_non_finite_flag_refused(capsys, tmp_path, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)  # figure and distribution write into the cwd
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"{flag} must be finite" in err
+
+
+def test_non_finite_config_value_refused(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"alpha_r": NaN, "q": Infinity}')
+    code, _, err = run_cli(capsys, "--config", str(cfg), "weak-value")
+    assert code == 2 and "--alpha-r must be finite" in err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["figure", "no_such_figure"])

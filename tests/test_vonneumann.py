@@ -26,6 +26,7 @@ from weakmeas import (
     position_density,
     simulate_cross_kerr,
     simulate_qubit_pointer,
+    wavefunction_table,
 )
 from weakmeas.vonneumann import position_density as joint_density
 from weakmeas import QuadratureGrid
@@ -306,6 +307,38 @@ def test_kerr_extraction_tracks_weak_value_in_negative_region():
         assert ref == pytest.approx(expected, abs=1e-8)
         assert got == pytest.approx(expected, abs=0.05 * max(1.0, abs(expected)))
     assert res.extracted_n_w[0] < 0  # negative photon-number readout
+
+
+def _two_mode_conditional(rho_a, rho_b, g, eps, q):
+    """Pointer state given the postselection q, from the dense two-mode state
+    exp(-i eps n x diag(g)) (rho_a x rho_b) exp(+i eps n x diag(g))."""
+    from scipy.linalg import expm
+
+    u = expm(-1j * eps * np.kron(make_operator("number", rho_a.shape[0]).matrix,
+                                 np.diag(g)))
+    joint = u @ np.kron(rho_a, rho_b) @ u.conj().T
+    bra = np.kron(wavefunction_table(rho_a.shape[0], q), np.eye(len(g)))
+    cond = bra.T @ joint @ bra
+    return cond / np.trace(cond)
+
+
+def test_discrete_pointers_match_dense_two_mode_oracle():
+    rho = displaced_thermal_state(alpha_from_quadratures(0.8, 0.5), 0.4, 14)
+    eps, theta, qs = 0.3, 0.7, [-1.0, 0.2, 1.7]
+    rho_b = displaced_thermal_state(alpha_from_quadratures(1.0, 0.3), 0.2, 12)
+    b = np.diag(np.sqrt(np.arange(1, 12)), k=1)
+    x_theta = (b * np.exp(-1j * theta) + b.T * np.exp(1j * theta)) / math.sqrt(2)
+    sx, sy = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]])
+    qubit = PointerState.qubit(0.6, -0.5)
+    qubit_rho = 0.5 * (np.eye(2) + 0.6 * sx - 0.5 * sy)
+    kerr = simulate_cross_kerr(rho, rho_b, eps, theta, qs).evolved_mean
+    bloch = simulate_qubit_pointer(rho, qubit, eps, qs)
+    for i, q in enumerate(qs):
+        cond = _two_mode_conditional(rho.matrix, rho_b.matrix, np.arange(12), eps, [q])
+        assert kerr[i] == pytest.approx(np.trace(cond @ x_theta).real, abs=1e-12)
+        cond = _two_mode_conditional(rho.matrix, qubit_rho, [1.0, -1.0], eps, [q])
+        assert bloch.sigma_x[i] == pytest.approx(np.trace(cond @ sx).real, abs=1e-12)
+        assert bloch.sigma_y[i] == pytest.approx(np.trace(cond @ sy).real, abs=1e-12)
 
 
 def test_qubit_zero_coupling_leaves_bloch_vector():
