@@ -97,6 +97,11 @@ def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _psi_form(a: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """psi(x)^T a psi(x) per column of a real table, for real a (README numerical notes)."""
+    return np.einsum("ni,ni->i", np.ascontiguousarray(a) @ table, table)
+
+
 def weak_value(nu: Observable, rho: DensityOperator, kernel: DetectorKernel,
                phi, grid: QuadratureGrid | None = None):
     """Weak value by the trace formula, for any state and Hermitian observable.
@@ -125,10 +130,10 @@ def weak_value(nu: Observable, rho: DensityOperator, kernel: DetectorKernel,
             nodes, weights = grid.points[None, :], grid.weights
         smear = kernel(phi[:, None], nodes) * weights
     table = wavefunction_table(rho.dim, nodes.ravel())
-    f_num = np.sum((nu.matrix @ rho.matrix @ table) * table, axis=0).reshape(nodes.shape)
-    f_den = np.sum((rho.matrix @ table) * table, axis=0).real.reshape(nodes.shape)
-    num = np.sum(smear * f_num, axis=1)
-    den = np.sum(smear * f_den, axis=1)
+    nu_rho = nu.matrix @ rho.matrix
+    f_num = _psi_form(nu_rho.real, table) + 1j * _psi_form(nu_rho.imag, table)
+    num = np.sum(smear * f_num.reshape(nodes.shape), axis=1)
+    den = np.sum(smear * _psi_form(rho.matrix.real, table).reshape(nodes.shape), axis=1)
     if np.any(den < 1e-14):
         bad = phi[den < 1e-14]
         raise UndefinedWeakValueError(

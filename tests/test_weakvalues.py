@@ -22,7 +22,7 @@ from weakmeas import (
     weak_value,
 )
 from weakmeas.weakvalues import marginal_density
-from conftest import random_density
+from conftest import random_density, random_hermitian
 
 
 def test_identity_weak_value_is_one(rng):
@@ -32,6 +32,31 @@ def test_identity_weak_value_is_one(rng):
     for kernel in (delta_kernel(), gaussian_kernel(0.4)):
         for phi in (-0.7, 0.0, 1.3):
             assert weak_value(ident, rho, kernel, phi) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_weak_value_matches_complex_trace_formula(rng):
+    """The real-arithmetic quadratic forms against the complex formula
+    sum_i w_i psi(x_i)^T nu rho psi(x_i) / sum_i w_i psi(x_i)^T rho psi(x_i)."""
+    from weakmeas import wavefunction_table
+
+    dim = 16
+    rho = random_density(dim, rng)
+    nu = Observable(random_hermitian(dim, rng), 1.0)
+    grid = default_grid(dim=dim, points=300)
+    phi = np.array([-1.1, 0.2, 1.9])
+    table = wavefunction_table(dim, grid.points)
+    f_num = np.einsum("ni,nm,mi->i", table, nu.matrix @ rho.matrix, table)
+    f_den = np.einsum("ni,nm,mi->i", table, rho.matrix, table).real
+    for kernel in (delta_kernel(), gaussian_kernel(0.6)):
+        if kernel.is_projective:
+            psi = wavefunction_table(dim, phi)
+            ref = (np.einsum("ni,nm,mi->i", psi, nu.matrix @ rho.matrix, psi)
+                   / np.einsum("ni,nm,mi->i", psi, rho.matrix, psi).real)
+        else:
+            smear = kernel(phi[:, None], grid.points[None, :]) * grid.weights
+            ref = (smear @ f_num) / (smear @ f_den)
+        wv = weak_value(nu, rho, kernel, phi, grid=None if kernel.is_projective else grid)
+        assert np.max(np.abs(wv - ref) / np.abs(ref)) < 1e-12
 
 
 def test_eigenstate_weak_value_is_eigenvalue():
