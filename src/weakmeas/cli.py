@@ -71,15 +71,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _add_state_flags(p, include_eta=True):
+def _add_state_flags(p):
     p.add_argument("--alpha-r", type=float, default=None,
                    help="real quadrature mean of the coherent amplitude")
     p.add_argument("--alpha-i", type=float, default=None,
                    help="imaginary quadrature mean")
     p.add_argument("--nth", type=float, default=None, help="thermal occupation")
-    if include_eta:
-        p.add_argument("--eta", type=float, default=None,
-                       help="detector quantum efficiency in (0, 1]")
+    p.add_argument("--eta", type=float, default=None,
+                   help="detector quantum efficiency in (0, 1]")
     p.add_argument("--dim", type=int, default=None,
                    help="Fock truncation (default 40 or WEAKMEAS_DIM)")
 

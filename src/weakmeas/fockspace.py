@@ -166,6 +166,17 @@ def leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@lru_cache(maxsize=8)
+def hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes x (Golub-Welsch) and weights w e^{x^2} =
+    1/sum_k psi_k(x)^2, finite at any n (hermgauss nodes are NaN from n = 741)."""
+    x = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1.0, n) / 2.0), -1))
+    w = 1.0 / np.sum(wavefunction_table(n, x) ** 2, axis=0)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Integration nodes and weights for quadrature-representation integrals."""

@@ -1,4 +1,4 @@
-"""Diagonal POVM detector models: smearing kernels and effective marginals.
+"""Diagonal POVM detector models: kernels, the postselection rule, effective marginals.
 
 An imperfect detector for a continuous observable is modeled by a diagonal
 POVM built from a nonnegative kernel Pi(phi, phi'), giving outcome phi when
@@ -10,6 +10,11 @@ the true value is phi'.  A physically admissible kernel is
 so that an imperfect detector reproduces the mean of a perfect one.  Perfect
 (projective) detection is a distinct ``delta`` kind rather than a zero-width
 Gaussian, which keeps every code path free of numerical singularities.
+
+With a Gaussian kernel and no explicit grid, ``postselection_rule`` integrates
+psi_m psi_n Pi(phi, .), a polynomial of degree <= 2 dim - 2 times a Gaussian,
+by the Gauss-Hermite rule of dim nodes centred on that Gaussian, which is
+exact (Golub & Welsch, Math. Comp. 23, 221 (1969)) at every efficiency.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fockspace import DensityOperator, QuadratureGrid, position_density
+from .fockspace import (DensityOperator, QuadratureGrid, default_grid, hermite_rule,
+                        position_density)
 
 __all__ = [
     "DetectorKernel",
@@ -30,6 +36,7 @@ __all__ = [
     "custom_kernel",
     "sigma_from_efficiency",
     "validate",
+    "postselection_rule",
     "effective_marginal",
     "smear_matrix",
 ]
@@ -60,8 +67,8 @@ class DetectorKernel:
 
 def gaussian_kernel(sigma_eta: float) -> DetectorKernel:
     """Gaussian kernel of r.m.s. width sigma_eta; sigma_eta = 0 is projective."""
-    if sigma_eta < 0:
-        raise ValueError(f"sigma_eta must be >= 0, got {sigma_eta}")
+    if not (math.isfinite(sigma_eta) and sigma_eta >= 0):
+        raise ValueError(f"sigma_eta must be finite and >= 0, got {sigma_eta}")
     if sigma_eta == 0:
         return delta_kernel()
     norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma_eta)
@@ -137,21 +144,45 @@ def validate(kernel: DetectorKernel, grid: QuadratureGrid,
     return ValidationReport(norm_defect, bias_defect)
 
 
+def postselection_rule(kernel: DetectorKernel, phi, dim: int,
+                       grid: QuadratureGrid | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and weights w, one row per phi, with sum_j w[i, j] f(x[i, j]) =
+    integral dx Pi(phi_i, x) f(x) for every f = psi_m psi_n, m, n < dim.
+
+    Projective: the node phi_i with weight 1.  Gaussian with no ``grid``: the
+    dim-node Gauss-Hermite rule mapped onto the Gaussian of psi_m psi_n
+    Pi(phi_i, .), exact.  Otherwise ``grid`` (default ``default_grid(dim)``),
+    whose nodes come back as one row shared by every phi.
+    """
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    if not np.all(np.isfinite(phi)):
+        raise ValueError(f"phi must be finite, got {phi[~np.isfinite(phi)].tolist()}")
+    if kernel.is_projective:
+        return phi[:, None], np.ones((phi.size, 1))
+    if grid is None and kernel.kind == "gaussian":
+        # psi_m psi_n times the kernel is a polynomial times
+        # exp(-a (x - m)^2), a = 1 + 1/(2 s^2), m = phi/(1 + 2 s^2)
+        x, w = hermite_rule(dim)
+        s2 = kernel.width_sigma_eta ** 2
+        root_a = math.sqrt(1.0 + 0.5 / s2)
+        nodes, weights = (phi / (1.0 + 2.0 * s2))[:, None] + x / root_a, w / root_a
+    else:
+        grid = grid or default_grid(dim=dim)
+        nodes, weights = grid.points[None, :], grid.weights
+    return nodes, kernel(phi[:, None], nodes) * weights
+
+
 def effective_marginal(rho: DensityOperator, kernel: DetectorKernel,
                        grid: QuadratureGrid):
     """Outcome density of an imperfect position measurement.
 
-    Returns q -> integral dq' Pi(q, q') <q'|rho|q'>, evaluable anywhere.
-    For the projective kind this is the exact diagonal density.
+    Returns q -> integral dq' Pi(q, q') <q'|rho|q'>, evaluable anywhere, by
+    ``postselection_rule`` on ``grid``: the exact diagonal density for the
+    projective kind.
     """
-    if kernel.is_projective:
-        return lambda q: position_density(rho, q)
-    diag = position_density(rho, grid.points)
-    weighted = grid.weights * diag
-
     def density(q):
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        out = kernel(q[:, None], grid.points[None, :]) @ weighted
+        nodes, weights = postselection_rule(kernel, q, rho.dim, grid)
+        out = np.sum(weights * position_density(rho, nodes.ravel()).reshape(nodes.shape), axis=1)
         return out if out.size > 1 else float(out[0])
 
     return density

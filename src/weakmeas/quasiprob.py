@@ -38,7 +38,7 @@ from .fockspace import (
     default_grid,
     wavefunction_table,
 )
-from .povm import DetectorKernel, smear_matrix
+from .povm import DetectorKernel, postselection_rule, smear_matrix
 
 __all__ = [
     "BasisPair",
@@ -244,26 +244,22 @@ def weak_value_from_distribution(rho: DensityOperator, nu: Observable,
     by the smeared distribution mass.  The product S_nu * S equals
     <phi|nu|xi><xi|rho|phi> with no overlap division, so points where the
     representation alone would be undefined contribute their finite limit.
-    A projective kernel reads the single row at the exact postselection
-    value; a smearing kernel weights the rows of the phi grid.
+    The phi integral takes the nodes and weights of ``postselection_rule``
+    with no grid: the single row at phi when projective, the exact
+    Gauss-Hermite rows for a Gaussian kernel, and for a custom kernel the rows
+    of ``default_grid(dim)``, the phi grid a ``BasisPair`` builds by default.
     """
-    if kernel.is_projective:
-        rows, row_weights = np.array([float(phi)]), np.ones(1)
-        psi = wavefunction_table(basis.dim, rows)
-        if basis.xi_kind == "momentum":
-            overlap = np.exp(1j * np.outer(rows, basis.xi_points)) / math.sqrt(2.0 * math.pi)
-        else:
-            overlap = psi.T @ basis.xi_matrix
-    else:
-        rows, psi, overlap = basis.phi_grid.points, basis.phi_table, basis.overlap
-        row_weights = kernel(phi, rows) * basis.phi_grid.weights
-    cross = _cross_kernel(rho, basis, psi)
+    (rows,), (row_weights,) = postselection_rule(kernel, phi, basis.dim)
+    psi = wavefunction_table(basis.dim, rows)
     if basis.xi_kind == "momentum":
         if nu.phase_space_symbol is None:
             raise ValueError("momentum-basis evaluation needs a phase-space symbol")
+        overlap = np.exp(1j * np.outer(rows, basis.xi_points)) / math.sqrt(2.0 * math.pi)
         nu_overlap = nu.phase_space_symbol(rows[:, None], basis.xi_points[None, :]) * overlap
     else:
+        overlap = psi.T @ basis.xi_matrix
         nu_overlap = psi.T @ nu.matrix @ basis.xi_matrix
+    cross = _cross_kernel(rho, basis, psi)
     num = np.sum(basis.xi_weights * (row_weights @ (nu_overlap * cross)))
     den = np.sum(basis.xi_weights * (row_weights @ (overlap * cross)))
     if abs(den) < 1e-14:

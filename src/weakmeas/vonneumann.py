@@ -159,17 +159,12 @@ def check_zero_current(pointer: PointerState,
     """Current density j(Q) = Re <Q|P rho_a|Q> of the pointer state.
 
     Real Gaussian mixtures carry none; a boost k makes j = k * density.  For
-    qubit pointers the analogous condition is evaluated on the two sigma_x
-    eigenstates and holds identically for equatorial Bloch states.
+    qubit pointers the analogous condition, on the two sigma_x eigenstates,
+    holds identically, since every qubit pointer is equatorial.
     """
     if pointer.kind == "qubit":
-        rho = _qubit_rho(pointer)
-        sz = np.diag([1.0, -1.0])
-        anti = sz @ rho + rho @ sz
-        plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
-        viol = max(abs(plus @ anti @ plus), abs(minus @ anti @ minus))
-        return CurrentReport(float(viol), math.nan)
+        # sigma_z rho_b + rho_b sigma_z = sigma_z for equatorial rho_b: <+-|.|+-> = 0
+        return CurrentReport(0.0, math.nan)
 
     if grid is None:
         if pointer.kind == "gaussian_mixture":

@@ -26,11 +26,6 @@ and n (Gaussian conditional moments of the smeared quasi-distribution).
 The closed forms double as oracles for the Fock-space trace formula and
 vice versa; neither path is derived from the other in code.
 
-With a Gaussian kernel and no explicit grid, the trace formula integrates
-psi_m psi_n Pi(phi, .), a polynomial of degree <= 2 dim - 2 times a Gaussian,
-by the Gauss-Hermite rule of dim nodes centred on that Gaussian, which is
-exact (Golub & Welsch, Math. Comp. 23, 221 (1969)) at every efficiency.
-
 Negative-readout probabilities are computed two independent ways: via the
 complementary error function where a closed form exists, and always via
 numeric quadrature of the postselection density over the region where the
@@ -41,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -49,11 +43,10 @@ from .fockspace import (
     DensityOperator,
     Observable,
     QuadratureGrid,
-    default_grid,
     leggauss,
     wavefunction_table,
 )
-from .povm import DetectorKernel
+from .povm import DetectorKernel, postselection_rule
 
 __all__ = [
     "UndefinedWeakValueError",
@@ -86,17 +79,6 @@ def marginal_density(q, alpha_r: float, n_th: float, sigma_eta: float):
     return np.exp(-((q - alpha_r) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
-@lru_cache(maxsize=8)
-def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes x (Golub-Welsch) and weights w e^{x^2} =
-    1/sum_k psi_k(x)^2, finite at any n (hermgauss nodes are NaN from n = 741)."""
-    x = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1.0, n) / 2.0), -1))
-    w = 1.0 / np.sum(wavefunction_table(n, x) ** 2, axis=0)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
 def _psi_form(a: np.ndarray, table: np.ndarray) -> np.ndarray:
     """psi(x)^T a psi(x) per column of a real table, for real a (README numerical notes)."""
     return np.einsum("ni,ni->i", np.ascontiguousarray(a) @ table, table)
@@ -107,35 +89,22 @@ def weak_value(nu: Observable, rho: DensityOperator, kernel: DetectorKernel,
     """Weak value by the trace formula, for any state and Hermitian observable.
 
     With a projective kernel this reduces to <phi|nu rho|phi>/<phi|rho|phi>.
-    A Gaussian kernel with no ``grid`` is integrated exactly by Gauss-Hermite
-    quadrature, other kernels on ``grid`` (default ``default_grid(dim)``).
+    The postselection integral is ``postselection_rule``'s: exact Gauss-Hermite
+    for a Gaussian kernel with no ``grid``, else ``grid`` (default
+    ``default_grid(dim)``).
     ``phi`` may be an array, in which case an array of weak values is returned.
     """
     if nu.dim != rho.dim:
         raise ValueError(f"observable dim {nu.dim} != state dim {rho.dim}")
     scalar = np.isscalar(phi)
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    if kernel.is_projective:
-        nodes, smear = phi[:, None], 1.0
-    else:
-        if grid is None and kernel.kind == "gaussian":
-            # psi_m psi_n times the kernel is a polynomial times
-            # exp(-a (x - m)^2), a = 1 + 1/(2 s^2), m = phi/(1 + 2 s^2)
-            x, w = _hermite_rule(rho.dim)
-            s2 = kernel.width_sigma_eta ** 2
-            root_a = math.sqrt(1.0 + 0.5 / s2)
-            nodes, weights = (phi / (1.0 + 2.0 * s2))[:, None] + x / root_a, w / root_a
-        else:
-            grid = grid or default_grid(dim=rho.dim)
-            nodes, weights = grid.points[None, :], grid.weights
-        smear = kernel(phi[:, None], nodes) * weights
+    nodes, smear = postselection_rule(kernel, phi, rho.dim, grid)
     table = wavefunction_table(rho.dim, nodes.ravel())
     nu_rho = nu.matrix @ rho.matrix
     f_num = _psi_form(nu_rho.real, table) + 1j * _psi_form(nu_rho.imag, table)
     num = np.sum(smear * f_num.reshape(nodes.shape), axis=1)
     den = np.sum(smear * _psi_form(rho.matrix.real, table).reshape(nodes.shape), axis=1)
     if np.any(den < 1e-14):
-        bad = phi[den < 1e-14]
+        bad = np.atleast_1d(phi)[den < 1e-14]
         raise UndefinedWeakValueError(
             f"postselection probability below 1e-14 at phi={bad.tolist()}")
     out = num / den
@@ -197,11 +166,14 @@ def _real_roots(a: float, b: float, c: float) -> tuple:
 
 
 def _validate_params(alpha_r, alpha_i, n_th, sigma_eta):
+    params = (float(alpha_r), float(alpha_i), float(n_th), float(sigma_eta))
+    if not all(map(math.isfinite, params)):
+        raise ValueError(f"(alpha_r, alpha_i, n_th, sigma_eta) must be finite, got {params}")
     if n_th < 0:
         raise ValueError(f"n_th must be >= 0, got {n_th}")
     if sigma_eta < 0:
         raise ValueError(f"sigma_eta must be >= 0, got {sigma_eta}")
-    return float(alpha_r), float(alpha_i), float(n_th), float(sigma_eta)
+    return params
 
 
 def p2_closed_profile(alpha_r: float, alpha_i: float = 0.0, n_th: float = 0.0,

@@ -4,17 +4,27 @@ import numpy as np
 import pytest
 
 from weakmeas import (
+    BasisPair,
     alpha_from_quadratures,
     coherent_state,
     custom_kernel,
     default_grid,
+    delta_kernel,
     displaced_thermal_state,
     effective_marginal,
     gaussian_kernel,
+    h_closed_profile,
+    make_operator,
+    n_closed_profile,
+    p2_closed_profile,
     position_density,
     sigma_from_efficiency,
     validate,
+    wavefunction_table,
+    weak_value,
+    weak_value_from_distribution,
 )
+from weakmeas.povm import postselection_rule
 from weakmeas.weakvalues import marginal_density
 
 
@@ -153,3 +163,54 @@ def test_effective_marginal_preserves_mass(rng):
         density = effective_marginal(rho, gaussian_kernel(sigma), grid)
         wide = default_grid(dim=14, points=700)
         assert wide.integrate(density(wide.points)) == pytest.approx(1.0, abs=1e-6)
+
+
+def _product_integrals(nodes, weights, dim):
+    """sum_j w[i, j] psi_m psi_n(x[i, j]) for every row i, shape (rows, dim, dim)."""
+    table = wavefunction_table(dim, nodes.ravel()).reshape((dim,) + nodes.shape)
+    table = np.broadcast_to(table, (dim,) + weights.shape)
+    return np.einsum("ij,mij,nij->imn", weights, table, table)
+
+
+def test_postselection_rule_integrates_every_wavefunction_product():
+    dim, phi = 12, np.array([-1.0, 0.5, 2.0])
+    fine = default_grid(dim=dim, points=2000)
+    for sigma in (0.3, 1.5):
+        kernel = gaussian_kernel(sigma)
+        nodes, weights = postselection_rule(kernel, phi, dim)
+        assert nodes.shape == weights.shape == (phi.size, dim)
+        ref_nodes, ref_weights = postselection_rule(kernel, phi, dim, fine)
+        assert ref_nodes.shape == (1, fine.size)
+        assert ref_weights.shape == (phi.size, fine.size)
+        err = (_product_integrals(nodes, weights, dim)
+               - _product_integrals(ref_nodes, ref_weights, dim))
+        assert np.max(np.abs(err)) < 1e-12
+    nodes, weights = postselection_rule(delta_kernel(), phi, dim)
+    psi = wavefunction_table(dim, phi)
+    exact = np.einsum("mi,ni->imn", psi, psi)
+    assert np.array_equal(_product_integrals(nodes, weights, dim), exact)
+
+
+_RHO = coherent_state(0.5, 8)
+_N = make_operator("number", 8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: weak_value(_N, _RHO, delta_kernel(), math.nan),
+    lambda: weak_value(_N, _RHO, gaussian_kernel(0.3), [0.0, math.inf]),
+    lambda: weak_value(_N, _RHO, gaussian_kernel(0.3), math.nan, grid=default_grid(dim=8)),
+    lambda: weak_value_from_distribution(_RHO, _N, BasisPair.position_fock(8),
+                                         delta_kernel(), math.nan),
+    lambda: effective_marginal(_RHO, gaussian_kernel(0.3), default_grid(dim=8))(math.nan),
+    lambda: gaussian_kernel(math.nan),
+    lambda: gaussian_kernel(math.inf),
+    lambda: h_closed_profile(1.0, 0.0, math.nan, 0.1),
+    lambda: p2_closed_profile(math.inf),
+    lambda: n_closed_profile(1.0, math.nan),
+    lambda: h_closed_profile(1.0, 0.0, 0.2, math.inf),
+], ids=["weak_value_delta", "weak_value_hermite", "weak_value_grid", "distribution_route",
+        "effective_marginal", "kernel_nan", "kernel_inf", "profile_n_th", "profile_alpha_r",
+        "profile_alpha_i", "profile_sigma_eta"])
+def test_non_finite_input_refused(call):
+    with pytest.raises(ValueError, match="finite"):
+        call()

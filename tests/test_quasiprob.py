@@ -9,6 +9,7 @@ from weakmeas import (
     Observable,
     alpha_from_quadratures,
     coherent_state,
+    custom_kernel,
     default_grid,
     delta_kernel,
     displaced_thermal_s,
@@ -17,13 +18,17 @@ from weakmeas import (
     effective_marginal,
     effective_thermal_s,
     gaussian_kernel,
+    h_closed_profile,
     make_operator,
     marginal_over_phi,
     marginal_over_xi,
+    n_closed_profile,
     negativity_scan,
+    p2_closed_profile,
     position_density,
     s_distribution,
     s_representation,
+    sigma_from_efficiency,
     t_distribution,
     thermal_s,
     weak_value,
@@ -272,3 +277,36 @@ def test_displaced_thermal_s_shift_property():
     inner = (np.abs(q) <= 3.0) & (np.abs(p) <= 3.0)
     err = np.abs(dist.values - displaced_thermal_s(q, p, 1.0, 0.7, 0.5))
     assert err[inner].max() < 1e-8
+
+
+_CLOSED_PROFILES = {"momentum_squared": p2_closed_profile, "hamiltonian": h_closed_profile,
+                    "number": n_closed_profile}
+
+
+@pytest.mark.parametrize("kind", ["fock", "momentum"])
+@pytest.mark.parametrize("eta", [0.5, 0.9, 0.99, 0.999, 0.9999])
+def test_distribution_route_matches_closed_profiles(eta, kind):
+    # the grid-smeared route was 4.7e-2 off at eta = 0.999; the postselection
+    # rule integrates the Gaussian kernel exactly at every efficiency
+    dim, (ar, ai, n_th) = 40, (1.0, 0.3, 0.2)
+    rho = displaced_thermal_state(alpha_from_quadratures(ar, ai), n_th, dim)
+    basis = getattr(BasisPair, f"position_{kind}")(dim)
+    sigma = sigma_from_efficiency(eta)
+    for op, closed in _CLOSED_PROFILES.items():
+        nu, profile = make_operator(op, dim), closed(ar, ai, n_th, sigma)
+        for phi in (-1.0, 0.2, 1.1, 2.5):
+            lhs = weak_value_from_distribution(rho, nu, basis, gaussian_kernel(sigma), phi)
+            assert abs(lhs - profile.value(phi)) < 1e-10
+
+
+def test_custom_kernel_distribution_route_matches_grid_trace_formula(rng):
+    dim = 16
+    triangle = custom_kernel(lambda a, b: np.maximum(0.0, 1.0 - np.abs(a - b) / 0.5) / 0.5)
+    basis = BasisPair.position_fock(dim)
+    for _ in range(4):
+        rho = random_density(dim, rng)
+        nu = Observable(random_hermitian(dim, rng))
+        phi = float(rng.uniform(-1.5, 1.5))
+        lhs = weak_value_from_distribution(rho, nu, basis, triangle, phi)
+        rhs = weak_value(nu, rho, triangle, phi, grid=default_grid(dim=dim))
+        assert abs(lhs - rhs) < 1e-10
