@@ -309,10 +309,16 @@ def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
     return (v * np.exp(-1j * lam)) @ v.conj().T
 
 
+def _require_finite_alpha(alpha: complex) -> None:
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+
+
 def coherent_state(alpha: complex, dim: int, strict: bool = False) -> DensityOperator:
     """Projector onto the truncated, renormalized coherent state |alpha>."""
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
+    _require_finite_alpha(alpha)
     _check_truncation(abs(alpha) ** 2, dim, strict)
     coeff = np.zeros(dim, dtype=complex)
     coeff[0] = 1.0
@@ -326,8 +332,8 @@ def coherent_state(alpha: complex, dim: int, strict: bool = False) -> DensityOpe
 def thermal_state(n_th: float, dim: int) -> DensityOperator:
     """Thermal state with mean occupation n_th; geometric Fock weights
     n_th^n / (1 + n_th)^(n+1), renormalized after truncation."""
-    if n_th < 0:
-        raise ValueError(f"n_th must be >= 0, got {n_th}")
+    if not (math.isfinite(n_th) and n_th >= 0):
+        raise ValueError(f"n_th must be finite and >= 0, got {n_th}")
     if n_th == 0:
         w = np.zeros(dim)
         w[0] = 1.0
@@ -346,11 +352,11 @@ def displaced_thermal_state(alpha: complex, n_th: float, dim: int,
     """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
-    if n_th < 0:
-        raise ValueError(f"n_th must be >= 0, got {n_th}")
+    _require_finite_alpha(alpha)
+    thermal = thermal_state(n_th, dim)  # refuses a negative or non-finite n_th
     _check_truncation(abs(alpha) ** 2 + n_th, dim, strict)
     disp = displacement_operator(alpha, dim)
-    rho = disp @ thermal_state(n_th, dim).matrix @ disp.conj().T
+    rho = disp @ thermal.matrix @ disp.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     return DensityOperator(rho)

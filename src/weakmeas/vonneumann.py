@@ -6,7 +6,10 @@ unitary U = exp(-i eps nu x P) with no free evolution before readout.  In
 the nu-eigenbasis U translates the pointer by eps times the eigenvalue, so
 the joint state is computed exactly to all orders in eps: eigendecompose nu,
 translate each pointer component, superpose.  There is no propagation or
-Trotter error; the only numerics are quadratures on readout grids.
+Trotter error; the only numerics are quadratures on readout grids.  The
+joint position density is one sum over pairs j <= l of nu eigenvectors, a
+real matrix product of n_phi dim(dim+1)/2 n_Q multiply-adds whatever the
+rank of the state or the number of pointer components (``position_density``).
 
 Pointers may be arbitrary Gaussian mixtures.  The first-order readout law
 (conditional pointer mean shifted by eps * Re nu_w) requires only that the
@@ -73,6 +76,7 @@ __all__ = [
 ]
 
 RANK_CLIP = 1e-14  # relative eigenvalue cutoff when decomposing mixed states
+PHI_BLOCK = 64     # postselection rows per block of pair coefficients
 
 
 class UnsupportedPointerError(TypeError):
@@ -113,6 +117,9 @@ class PointerState:
         q0 = np.array([c[1] for c in comps], dtype=float)
         s = np.array([c[2] for c in comps], dtype=float)
         k = np.array([c[3] if len(c) > 3 else 0.0 for c in comps], dtype=float)
+        for name, values in (("weights", w), ("centers", q0), ("sigmas", s), ("boosts", k)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"mixture {name} must be finite, got {values.tolist()}")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must be nonnegative and sum to 1")
         if np.any(s <= 0):
@@ -125,6 +132,8 @@ class PointerState:
 
     @classmethod
     def qubit(cls, s_x: float, s_y: float) -> "PointerState":
+        if not (math.isfinite(s_x) and math.isfinite(s_y)):
+            raise ValueError(f"Bloch components must be finite, got ({s_x}, {s_y})")
         if s_x * s_x + s_y * s_y > 1.0 + 1e-12:
             raise ValueError(f"Bloch components must satisfy s_x^2 + s_y^2 <= 1, "
                              f"got {s_x * s_x + s_y * s_y:.6f}")
@@ -215,9 +224,16 @@ class JointState:
         return self.epsilon * self.nu_eigvals
 
 
+def _finite_coupling(epsilon: float) -> float:
+    if not math.isfinite(epsilon):
+        raise ValueError(f"coupling epsilon must be finite, got {epsilon}")
+    return float(epsilon)
+
+
 def evolve_exact(rho_s: DensityOperator, pointer: PointerState, nu: Observable,
                  epsilon: float) -> JointState:
     """Apply the impulse unitary exactly (all orders in the coupling)."""
+    epsilon = _finite_coupling(epsilon)
     if pointer.kind != "gaussian_mixture":
         raise UnsupportedPointerError(
             f"the impulse coupling takes a gaussian_mixture pointer, got "
@@ -230,30 +246,49 @@ def evolve_exact(rho_s: DensityOperator, pointer: PointerState, nu: Observable,
     lam, u = np.linalg.eigh(rho_s.matrix)
     keep = lam > RANK_CLIP * lam.max()
     lam, u = lam[keep], u[:, keep]
-    return JointState(vals, vecs, lam, vecs.conj().T @ u, pointer, float(epsilon))
+    return JointState(vals, vecs, lam, vecs.conj().T @ u, pointer, epsilon)
 
 
 def evolve_further(joint: JointState, extra_epsilon: float) -> JointState:
     """Compose another impulse of the same coupling; translations add."""
     return JointState(joint.nu_eigvals, joint.nu_vectors, joint.state_weights,
                       joint.state_vectors, joint.pointer,
-                      joint.epsilon + float(extra_epsilon))
+                      joint.epsilon + _finite_coupling(extra_epsilon))
 
 
 def position_density(joint: JointState, phi_points, Q_points) -> np.ndarray:
-    """Joint position density <phi, Q| rho_eps |phi, Q> on arbitrary points."""
+    """Joint position density <phi, Q| rho_eps |phi, Q> on arbitrary points.
+
+    With b = psi(phi)^T U the postselection bra in the nu eigenbasis,
+    R = U^dag rho U the state there and A_cj(Q) the pointer component c
+    translated by eps nu_j, the density is a sum over eigenvector pairs j <= l:
+
+        sum_{j<=l} (2 - delta_jl) Re[b_j conj(b_l) R_jl P_jl(Q)],
+        P_jl(Q) = sum_c w_c A_cj(Q) conj(A_cl(Q)).
+
+    That is one real product of an (n_phi, dim(dim+1)/2) coefficient table
+    with the (dim(dim+1)/2, n_Q) pair table: n_phi dim(dim+1)/2 n_Q real
+    multiply-adds (four times that for a boosted pointer, whose pairs are
+    complex), whatever the rank of rho and the number of components.
+    """
     phi_points = np.atleast_1d(np.asarray(phi_points, dtype=float))
     Q_points = np.atleast_1d(np.asarray(Q_points, dtype=float))
     dim = joint.nu_eigvals.size
     bra = wavefunction_table(dim, phi_points).T @ joint.nu_vectors  # (n_phi, dim)
+    vecs = joint.state_vectors
+    rho_nu = (vecs * joint.state_weights) @ vecs.conj().T
+    j, l = np.triu_indices(dim)
+    rho_pairs = np.where(j == l, 1.0, 2.0) * rho_nu[j, l]
     amps = joint.pointer.amplitudes(Q_points, joint.shifts)         # (c, dim, n_Q)
-    density = np.zeros((phi_points.size, Q_points.size))
-    for c in range(joint.pointer.weights.size):
-        wc = joint.pointer.weights[c]
-        for r in range(joint.state_weights.size):
-            coef = bra * joint.state_vectors[:, r][None, :]
-            amp = coef @ amps[c]
-            density += wc * joint.state_weights[r] * np.abs(amp) ** 2
+    weighted, conjugate = joint.pointer.weights[:, None, None] * amps, np.conj(amps)
+    pairs = np.concatenate([np.einsum("cq,ckq->kq", weighted[:, row], conjugate[:, row:])
+                            for row in range(dim)])                 # rows in (j, l) order
+    boosted = np.iscomplexobj(pairs)  # a real pointer's pairs need only Re coef
+    density = np.empty((phi_points.size, Q_points.size))
+    for start in range(0, phi_points.size, PHI_BLOCK):
+        b = bra[start:start + PHI_BLOCK]
+        coef = b[:, j] * b[:, l].conj() * rho_pairs
+        density[start:start + PHI_BLOCK] = (coef @ pairs).real if boosted else coef.real @ pairs
     return density
 
 
@@ -393,6 +428,7 @@ def simulate_cross_kerr(rho_a_mode: DensityOperator, rho_b_pointer: DensityOpera
     an identical run with mode a in the one-photon state (for which n_w = 1
     at every postselection), never assumed.
     """
+    epsilon = _finite_coupling(epsilon)
     q = np.atleast_1d(np.asarray(postselect_q, dtype=float))
     db = rho_b_pointer.dim
     ladder = np.diag(np.sqrt(np.arange(1, db, dtype=float)), k=1).astype(complex)
@@ -461,6 +497,7 @@ def simulate_qubit_pointer(rho_s: DensityOperator, qubit: PointerState,
     """
     if qubit.kind != "qubit":
         raise UnsupportedPointerError("this coupling needs a qubit pointer")
+    epsilon = _finite_coupling(epsilon)
     q = np.atleast_1d(np.asarray(postselect_q, dtype=float))
     ref = weak_value(make_operator("number", rho_s.dim), rho_s, delta_kernel(), q).real
     if epsilon == 0.0:

@@ -367,3 +367,72 @@ def test_qubit_response_sign_flips_across_weak_value_root():
 def test_qubit_rejects_wrong_pointer_kind():
     with pytest.raises(UnsupportedPointerError):
         simulate_qubit_pointer(_fock(0, 8), PointerState.gaussian(), 0.1)
+
+
+def test_position_density_matches_dense_operator_oracle():
+    """Independent oracle for the pair contraction: for each pointer position
+    Q and component c the Kraus operator
+    K_c(Q) = N_c exp(-(Q - c_c - eps nu)^2 / (4 s_c^2)) exp(i k_c (Q - eps nu))
+    acts on the full state, density = sum_c w_c psi(phi)^T K_c rho K_c^dag psi(phi),
+    with no eigendecomposition of rho.  Full rank, boosted mixture, strong
+    coupling; a dropped off-diagonal pair factor or boost term fails it."""
+    from scipy.linalg import expm
+
+    dim, eps = 24, 0.3
+    rho = displaced_thermal_state(alpha_from_quadratures(0.8, -0.5), 0.8, dim)
+    pointer = PointerState.gaussian_mixture([(0.6, -0.5, 0.8, 0.7), (0.4, 0.9, 1.2)])
+    phis = np.linspace(-2.5, 2.5, 5)
+    Qs = np.linspace(-2.0, 8.0, 7)
+    psi = wavefunction_table(dim, phis)
+    for kind in ("hamiltonian", "momentum_squared"):
+        nu = make_operator(kind, dim)
+        joint = evolve_exact(rho, pointer, nu, eps)
+        assert joint.state_weights.size == dim
+        reference = np.zeros((phis.size, Qs.size))
+        for i, Q in enumerate(Qs):
+            for w, c, s, k in zip(pointer.weights, pointer.centers, pointer.sigmas,
+                                  pointer.boosts):
+                x = (Q - c) * np.eye(dim) - eps * nu.matrix
+                kraus = ((2.0 * np.pi * s * s) ** -0.25 * expm(-x @ x / (4.0 * s * s))
+                         @ expm(1j * k * (Q * np.eye(dim) - eps * nu.matrix)))
+                sandwich = kraus @ rho.matrix @ kraus.conj().T
+                reference[:, i] += w * np.einsum("np,nm,mp->p", psi, sandwich, psi).real
+        got = joint_density(joint, phis, Qs)
+        assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(reference)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: coherent_state(math.nan, 10), "alpha"),
+    (lambda: coherent_state(complex(0.0, math.inf), 10), "alpha"),
+    (lambda: displaced_thermal_state(math.nan, 0.1, 10), "alpha"),
+    (lambda: displaced_thermal_state(0.5, math.nan, 10), "n_th"),
+    (lambda: displaced_thermal_state(0.5, math.inf, 10), "n_th"),
+    (lambda: PointerState.qubit(math.nan, 0.0), "Bloch"),
+    (lambda: PointerState.qubit(0.0, math.inf), "Bloch"),
+    (lambda: PointerState.gaussian(sigma=math.nan), "sigmas"),
+    (lambda: PointerState.gaussian(center=math.inf), "centers"),
+    (lambda: PointerState.gaussian(boost=math.nan), "boosts"),
+    (lambda: PointerState.gaussian_mixture([(math.nan, 0.0, 1.0), (0.5, 1.0, 1.0)]),
+     "weights"),
+], ids=["coherent_nan", "coherent_inf", "thermal_alpha", "thermal_n_th_nan",
+        "thermal_n_th_inf", "qubit_s_x", "qubit_s_y", "gaussian_sigma", "gaussian_center",
+        "gaussian_boost", "mixture_weight"])
+def test_non_finite_state_and_pointer_refused(call, name):
+    with pytest.raises(ValueError, match=f"{name}.*finite"):
+        call()
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+def test_non_finite_coupling_refused(epsilon):
+    rho = coherent_state(0.5, 8)
+    nu = make_operator("number", 8)
+    joint = evolve_exact(rho, PointerState.gaussian(), nu, 0.1)
+    calls = [
+        lambda: evolve_exact(rho, PointerState.gaussian(), nu, epsilon),
+        lambda: evolve_further(joint, epsilon),
+        lambda: simulate_cross_kerr(rho, coherent_state(0.7, 8), epsilon),
+        lambda: simulate_qubit_pointer(rho, PointerState.qubit(1.0, 0.0), epsilon),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            call()
