@@ -4,9 +4,10 @@ figure data, distribution grids and pointer simulations.
 Every command is deterministic given its flags.  Numbers are written with 17
 significant digits so CSV output round-trips to the exact double.  Exit
 codes: 0 success, 1 usage error, 2 numerical-domain error, such as a
-non-finite number in any flag.  A flat JSON config file can preload any flag
-(``--config``); explicit flags win.  The environment variable WEAKMEAS_DIM
-overrides the default Fock truncation.
+non-finite number in any flag, or a weak value whose closed form and trace
+formula differ by more than ``TRACE_TOL`` in their real parts.  A flat JSON
+config file can preload any flag (``--config``); explicit flags win.  The
+environment variable WEAKMEAS_DIM overrides the default Fock truncation.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = ["main", "build_parser", "FIGURES", "summarize_distribution_rows"]
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
+TRACE_TOL = 1e-6  # closed form against the dim-truncated trace formula, Re parts
 
 _PROFILE_BUILDERS = {
     "p2": weakvalues.p2_closed_profile,
@@ -198,6 +200,10 @@ def cmd_weak_value(args) -> int:
     nu = fockspace.make_operator(_OPERATOR_KINDS[opts["observable"]], dim)
     trace_value = weakvalues.weak_value(nu, rho, povm.gaussian_kernel(sigma_eta),
                                         opts["q"])
+    if not abs(value.real - trace_value.real) <= TRACE_TOL:
+        raise ValueError(f"closed form re = {value.real:.17g} and trace formula "
+                         f"re = {trace_value.real:.17g} differ by more than {TRACE_TOL:g} "
+                         f"at dim {dim}: the Fock truncation is too small for this state")
     density = weakvalues.marginal_density(opts["q"], opts["alpha_r"], opts["nth"],
                                           sigma_eta)
     _emit({**opts, "dim": dim, "sigma_eta": sigma_eta},
@@ -361,12 +367,14 @@ def _simulate_generic(opts) -> dict:
                 "relative_deviation": math.nan, "richardson_ratio": math.nan,
                 "note": "zero coupling leaves the joint state a product"}
 
+    start = vonneumann.evolve_exact(rho, pointer, nu, 0.0)  # the one pair of eigh
+
     def table(e, q_grid=None):
-        joint = vonneumann.evolve_exact(rho, pointer, nu, e)
+        joint = vonneumann.evolve_further(start, e)
         return vonneumann.joint_distribution(joint, kernel_phi, None, phi_grid, q_grid)
 
     full = table(eps)  # its default Q grid covers the largest pointer translation
-    baseline = table(0.0, full.Q_grid)
+    baseline = vonneumann.joint_distribution(start, kernel_phi, None, phi_grid, full.Q_grid)
     shift = vonneumann.conditional_pointer_shift(full, q, baseline)
     shift_half = vonneumann.conditional_pointer_shift(table(eps / 2.0, full.Q_grid),
                                                       q, baseline)

@@ -10,6 +10,10 @@ Trotter error; the only numerics are quadratures on readout grids.  The
 joint position density is one sum over pairs j <= l of nu eigenvectors, a
 real matrix product of n_phi dim(dim+1)/2 n_Q multiply-adds whatever the
 rank of the state or the number of pointer components (``position_density``).
+A ``joint_distribution`` table builds that density, and its smears, on first
+access to ``values``; ``conditional_mean`` never builds it but contracts one
+postselection row (``JointOutcomeTable.row``), n_nodes dim^2 + components
+dim^2 n_Q multiply-adds for n_nodes postselection nodes.
 
 Pointers may be arbitrary Gaussian mixtures.  The first-order readout law
 (conditional pointer mean shifted by eps * Re nu_w) requires only that the
@@ -38,6 +42,7 @@ constant is measured against a Fock-state calibration run, not assumed.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -52,7 +57,7 @@ from .fockspace import (
     make_operator,
     wavefunction_table,
 )
-from .povm import DetectorKernel, delta_kernel, smear_matrix
+from .povm import DetectorKernel, delta_kernel, postselection_rule, smear_matrix
 from .weakvalues import weak_value
 
 __all__ = [
@@ -256,6 +261,14 @@ def evolve_further(joint: JointState, extra_epsilon: float) -> JointState:
                       joint.epsilon + _finite_coupling(extra_epsilon))
 
 
+def _bra_and_state(joint: JointState, phi_points: np.ndarray):
+    """psi(phi)^T U, the postselection bras in the nu eigenbasis, and
+    R = U^dag rho U, the state there."""
+    bra = wavefunction_table(joint.nu_eigvals.size, phi_points).T @ joint.nu_vectors
+    vecs = joint.state_vectors
+    return bra, (vecs * joint.state_weights) @ vecs.conj().T
+
+
 def position_density(joint: JointState, phi_points, Q_points) -> np.ndarray:
     """Joint position density <phi, Q| rho_eps |phi, Q> on arbitrary points.
 
@@ -274,9 +287,7 @@ def position_density(joint: JointState, phi_points, Q_points) -> np.ndarray:
     phi_points = np.atleast_1d(np.asarray(phi_points, dtype=float))
     Q_points = np.atleast_1d(np.asarray(Q_points, dtype=float))
     dim = joint.nu_eigvals.size
-    bra = wavefunction_table(dim, phi_points).T @ joint.nu_vectors  # (n_phi, dim)
-    vecs = joint.state_vectors
-    rho_nu = (vecs * joint.state_weights) @ vecs.conj().T
+    bra, rho_nu = _bra_and_state(joint, phi_points)                  # (n_phi, dim)
     j, l = np.triu_indices(dim)
     rho_pairs = np.where(j == l, 1.0, 2.0) * rho_nu[j, l]
     amps = joint.pointer.amplitudes(Q_points, joint.shifts)         # (c, dim, n_Q)
@@ -294,12 +305,61 @@ def position_density(joint: JointState, phi_points, Q_points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class JointOutcomeTable:
-    """Smeared joint outcome density over (phi, Q) readout grids."""
+    """Smeared joint outcome density over (phi, Q) readout grids.
 
+    Holds the evolved state, both detector kernels and both grids.  The
+    (n_phi, n_Q) ``values`` are built on first access, by ``position_density``
+    and then ``smear_matrix`` on each smeared axis, and kept.  ``row`` reads
+    one postselection row without them.
+    """
+
+    joint: JointState
+    kernel_phi: DetectorKernel
+    kernel_Q: DetectorKernel
     phi_grid: QuadratureGrid
     Q_grid: QuadratureGrid
-    values: np.ndarray
-    epsilon: float
+
+    @property
+    def epsilon(self) -> float:
+        return self.joint.epsilon
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        density = position_density(self.joint, self.phi_grid.points, self.Q_grid.points)
+        if not self.kernel_phi.is_projective:
+            density = smear_matrix(self.kernel_phi, self.phi_grid.points,
+                                   self.phi_grid) @ density
+        if not self.kernel_Q.is_projective:
+            density = density @ smear_matrix(self.kernel_Q, self.Q_grid.points,
+                                             self.Q_grid).T
+        return density
+
+    def row(self, index: int) -> np.ndarray:
+        """``values[index]`` to round-off, without building ``values``.
+
+        With postselection nodes x_k and weights w_k (the row of the phi
+        smear, or the node itself with weight 1 when projective),
+        B = psi(x)^T U, R = U^dag rho U and A_c the translated pointer
+        components, the row before the Q smear is
+
+            sum_c w_c Re sum_j A_cj(Q) (C conj(A_c))_j(Q),
+            C = (B^T diag(w) conj(B)) o R:
+
+        n_nodes dim^2 + components dim^2 n_Q multiply-adds.
+        """
+        joint = self.joint
+        nodes, weights = postselection_rule(self.kernel_phi, self.phi_grid.points[index],
+                                            joint.nu_eigvals.size, self.phi_grid)
+        bra, rho_nu = _bra_and_state(joint, nodes[0])
+        coef = (bra.T * weights[0]) @ bra.conj() * rho_nu
+        amps = joint.pointer.amplitudes(self.Q_grid.points, joint.shifts)  # (c, dim, n_Q)
+        if not np.iscomplexobj(amps):  # a real pointer needs only Re C
+            coef = coef.real
+        row = np.einsum("c,cjq,cjq->q", joint.pointer.weights, amps,
+                        coef @ amps.conj()).real
+        if not self.kernel_Q.is_projective:
+            row = smear_matrix(self.kernel_Q, self.Q_grid.points, self.Q_grid) @ row
+        return row
 
     def total_mass(self) -> float:
         return float(self.phi_grid.weights @ self.values @ self.Q_grid.weights)
@@ -316,7 +376,9 @@ def joint_distribution(joint: JointState,
                        kernel_Q: DetectorKernel | None = None,
                        phi_grid: QuadratureGrid | None = None,
                        Q_grid: QuadratureGrid | None = None) -> JointOutcomeTable:
-    """Readout table rho_eps(phi, Q) after both detector POVMs."""
+    """Readout table rho_eps(phi, Q) after both detector POVMs, built on
+    first access to its ``values``; warns now if the pointer density at the
+    Q-grid border exceeds 1e-12."""
     kernel_phi = kernel_phi or delta_kernel()
     kernel_Q = kernel_Q or delta_kernel()
     if phi_grid is None:
@@ -334,12 +396,7 @@ def joint_distribution(joint: JointState,
     if border_density > 1e-12:
         warnings.warn(f"pointer density {border_density:.2e} at the readout-grid "
                       f"border exceeds 1e-12; widen the Q grid", stacklevel=2)
-    density = position_density(joint, phi_grid.points, Q_grid.points)
-    if not kernel_phi.is_projective:
-        density = smear_matrix(kernel_phi, phi_grid.points, phi_grid) @ density
-    if not kernel_Q.is_projective:
-        density = density @ smear_matrix(kernel_Q, Q_grid.points, Q_grid).T
-    return JointOutcomeTable(phi_grid, Q_grid, density, joint.epsilon)
+    return JointOutcomeTable(joint, kernel_phi, kernel_Q, phi_grid, Q_grid)
 
 
 def phi_marginal(table: JointOutcomeTable) -> np.ndarray:
@@ -348,13 +405,15 @@ def phi_marginal(table: JointOutcomeTable) -> np.ndarray:
 
 
 def conditional_mean(table: JointOutcomeTable, phi: float) -> float:
-    """E(Q | phi) at a grid node of the phi axis."""
+    """E(Q | phi) at a grid node of the phi axis, from ``table.row`` alone:
+    n_nodes dim^2 + components dim^2 n_Q multiply-adds, not the
+    n_phi dim(dim+1)/2 n_Q + n_phi^2 n_Q of building ``table.values``."""
     idx = np.flatnonzero(np.abs(table.phi_grid.points - phi) < 1e-9)
     if idx.size == 0:
         raise ValueError(
             f"phi={phi} is not a node of the table's postselection axis; build the "
             f"grid with with_points() to place readout positions exactly")
-    row = table.values[idx[0]]
+    row = table.row(idx[0])
     den = float(table.Q_grid.weights @ row)
     if den < 1e-12:
         raise ValueError(f"postselection probability at phi={phi} is below 1e-12")

@@ -263,3 +263,19 @@ def test_dim_env_override(capsys, monkeypatch):
     _, out, _ = run_cli(capsys, "weak-value", "--observable", "H",
                         "--alpha-r", "1", "--q", "0")
     assert last_json(out)["params"]["dim"] == 24
+
+
+@pytest.mark.filterwarnings("ignore:.*truncation")
+def test_weak_value_refuses_closed_form_trace_disagreement(capsys):
+    # |alpha|^2 = 1e6 lies far beyond the dim-40 truncation
+    code, _, err = run_cli(capsys, "weak-value", "--alpha-r", "1e3", "--q", "0.5")
+    assert code == 2
+    assert "-499499.5" in err and "-2.17" in err and "dim 40" in err
+
+
+def test_weak_value_agreeing_routes_exit_zero(capsys):
+    code, out, _ = run_cli(capsys, "weak-value", "--observable", "n", "--alpha-r", "1.5",
+                           "--alpha-i", "0.4", "--nth", "0.3", "--eta", "0.9", "--q", "0.7")
+    assert code == 0
+    res = last_json(out)["results"]
+    assert abs(res["re"] - res["re_trace_formula"]) <= 1e-6

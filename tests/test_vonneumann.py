@@ -28,6 +28,7 @@ from weakmeas import (
     simulate_qubit_pointer,
     wavefunction_table,
 )
+from weakmeas.povm import smear_matrix
 from weakmeas.vonneumann import position_density as joint_density
 from weakmeas import QuadratureGrid
 
@@ -275,6 +276,56 @@ def test_narrow_readout_grid_warns():
     joint = evolve_exact(rho, PointerState.gaussian(), nu, 0.1)
     with pytest.warns(UserWarning, match="border"):
         joint_distribution(joint, Q_grid=QuadratureGrid.gauss_legendre(3.0, 80))
+
+
+BOOSTED = PointerState.gaussian_mixture([(0.6, -0.8, 0.7, 0.5), (0.4, 1.0, 1.3)])
+
+
+@pytest.mark.parametrize("pointer", [PointerState.gaussian(0.9), MIXTURE, BOOSTED],
+                         ids=["single", "mixture", "boosted"])
+@pytest.mark.parametrize("n_th", [0.0, 0.8], ids=["rank1", "full_rank"])
+def test_row_readout_matches_table_row(pointer, n_th):
+    dim = 20
+    rho = displaced_thermal_state(alpha_from_quadratures(0.9, 0.4), n_th, dim)
+    joint = evolve_exact(rho, pointer, make_operator("hamiltonian", dim), 0.3)
+    assert joint.state_weights.size == (1 if n_th == 0.0 else dim)
+    phi_grid = default_grid(dim=dim, points=60).with_points([0.37])
+    q_grid = QuadratureGrid.gauss_legendre(21.0, 200)
+    node = int(np.flatnonzero(phi_grid.points == 0.37)[0])
+    for kernel_phi in (None, gaussian_kernel(0.4)):
+        for kernel_q in (None, gaussian_kernel(0.3)):
+            table = joint_distribution(joint, kernel_phi, kernel_q, phi_grid, q_grid)
+            rows = np.array([table.row(i) for i in range(phi_grid.size)])
+            # both routes sum the same quadratic form in another order, so
+            # they share its absolute round-off floor, a few 1e-16 of the
+            # table maximum; rows far in the state's tail sit near that floor
+            err = np.max(np.abs(rows - table.values), axis=1)
+            row_max = np.max(np.abs(table.values), axis=1)
+            assert np.max(err) <= 1e-14 * np.max(row_max)
+            held = row_max > 1e-2 * np.max(row_max)
+            assert node in np.flatnonzero(held)
+            assert np.all(err[held] <= 1e-13 * row_max[held])
+
+
+def test_conditional_shift_leaves_table_unbuilt():
+    table = _shift_setup(1.0, MIXTURE, [-1.0])
+    baseline, evolved = table(0.0), table(1e-3)
+    conditional_pointer_shift(evolved, -1.0, baseline)
+    assert "values" not in evolved.__dict__
+    assert "values" not in baseline.__dict__
+
+
+def test_table_values_are_smeared_position_density():
+    rho = displaced_thermal_state(alpha_from_quadratures(1.0, 0.2), 0.3, 24)
+    joint = evolve_exact(rho, MIXTURE, make_operator("hamiltonian", 24), 0.2)
+    kernel_phi, kernel_q = gaussian_kernel(0.4), gaussian_kernel(0.3)
+    table = joint_distribution(joint, kernel_phi, kernel_q)
+    phi, q = table.phi_grid, table.Q_grid
+    expected = (smear_matrix(kernel_phi, phi.points, phi)
+                @ joint_density(joint, phi.points, q.points)
+                @ smear_matrix(kernel_q, q.points, q).T)
+    assert np.array_equal(table.values, expected)
+    assert table.values is table.values
 
 
 def test_kerr_fock_state_phase_shift_is_exact():
