@@ -6,14 +6,18 @@ unitary U = exp(-i eps nu x P) with no free evolution before readout.  In
 the nu-eigenbasis U translates the pointer by eps times the eigenvalue, so
 the joint state is computed exactly to all orders in eps: eigendecompose nu,
 translate each pointer component, superpose.  There is no propagation or
-Trotter error; the only numerics are quadratures on readout grids.  The
-joint position density is one sum over pairs j <= l of nu eigenvectors, a
-real matrix product of n_phi dim(dim+1)/2 n_Q multiply-adds whatever the
-rank of the state or the number of pointer components (``position_density``).
-A ``joint_distribution`` table builds that density, and its smears, on first
-access to ``values``; ``conditional_mean`` never builds it but contracts one
-postselection row (``JointOutcomeTable.row``), n_nodes dim^2 + components
-dim^2 n_Q multiply-adds for n_nodes postselection nodes.
+Trotter error.  The joint position density is one sum over pairs j <= l of
+nu eigenvectors, a real matrix product of n_phi dim(dim+1)/2 n_Q
+multiply-adds whatever the rank of the state or the number of pointer
+components (``position_density``).  A ``joint_distribution`` table builds
+that density, and its smears, by quadrature on its readout grids on first
+access to ``values``.  ``conditional_mean`` and ``conditional_pointer_shift``
+never build it: with a projective or Gaussian Q kernel they are closed forms
+in the Gaussian pair overlaps of the pointer, taken over the exact
+postselection rule (components dim^2 exponentials, no grid at all for a
+projective or Gaussian phi kernel); only a custom Q kernel, which may be
+biased, is read from one postselection row on the Q grid
+(``JointOutcomeTable.row``).
 
 Pointers may be arbitrary Gaussian mixtures.  The first-order readout law
 (conditional pointer mean shifted by eps * Re nu_w) requires only that the
@@ -269,6 +273,16 @@ def _bra_and_state(joint: JointState, phi_points: np.ndarray):
     return bra, (vecs * joint.state_weights) @ vecs.conj().T
 
 
+def _postselection_matrix(joint: JointState, kernel_phi: DetectorKernel, phi: float,
+                          grid: QuadratureGrid | None) -> np.ndarray:
+    """C = (B^T diag(w) conj(B)) o R, with the nodes x and weights w of
+    ``postselection_rule(kernel_phi, phi, dim, grid)`` and B = psi(x)^T U:
+    the state in the nu eigenbasis, weighted by the postselection."""
+    nodes, weights = postselection_rule(kernel_phi, phi, joint.nu_eigvals.size, grid)
+    bra, rho_nu = _bra_and_state(joint, nodes[0])
+    return (bra.T * weights[0]) @ bra.conj() * rho_nu
+
+
 def position_density(joint: JointState, phi_points, Q_points) -> np.ndarray:
     """Joint position density <phi, Q| rho_eps |phi, Q> on arbitrary points.
 
@@ -310,7 +324,9 @@ class JointOutcomeTable:
     Holds the evolved state, both detector kernels and both grids.  The
     (n_phi, n_Q) ``values`` are built on first access, by ``position_density``
     and then ``smear_matrix`` on each smeared axis, and kept.  ``row`` reads
-    one postselection row without them.
+    one postselection row without them.  Both are the grid route: the
+    conditional means of ``conditional_mean`` need neither unless the Q
+    kernel is custom, and tests hold the closed forms against them.
     """
 
     joint: JointState
@@ -337,21 +353,20 @@ class JointOutcomeTable:
     def row(self, index: int) -> np.ndarray:
         """``values[index]`` to round-off, without building ``values``.
 
-        With postselection nodes x_k and weights w_k (the row of the phi
-        smear, or the node itself with weight 1 when projective),
-        B = psi(x)^T U, R = U^dag rho U and A_c the translated pointer
-        components, the row before the Q smear is
+        With C the postselection matrix of ``_postselection_matrix`` on the
+        table's phi grid (the row of the phi smear, or the node itself with
+        weight 1 when projective) and A_c the translated pointer components,
+        the row before the Q smear is
 
-            sum_c w_c Re sum_j A_cj(Q) (C conj(A_c))_j(Q),
-            C = (B^T diag(w) conj(B)) o R:
+            sum_c w_c Re sum_j A_cj(Q) (C conj(A_c))_j(Q):
 
         n_nodes dim^2 + components dim^2 n_Q multiply-adds.
+        ``conditional_mean`` reads it for a custom Q kernel only; for the
+        others it is the grid oracle of the closed-form readout.
         """
         joint = self.joint
-        nodes, weights = postselection_rule(self.kernel_phi, self.phi_grid.points[index],
-                                            joint.nu_eigvals.size, self.phi_grid)
-        bra, rho_nu = _bra_and_state(joint, nodes[0])
-        coef = (bra.T * weights[0]) @ bra.conj() * rho_nu
+        coef = _postselection_matrix(joint, self.kernel_phi, self.phi_grid.points[index],
+                                     self.phi_grid)
         amps = joint.pointer.amplitudes(self.Q_grid.points, joint.shifts)  # (c, dim, n_Q)
         if not np.iscomplexobj(amps):  # a real pointer needs only Re C
             coef = coef.real
@@ -404,28 +419,85 @@ def phi_marginal(table: JointOutcomeTable) -> np.ndarray:
     return table.values @ table.Q_grid.weights
 
 
-def conditional_mean(table: JointOutcomeTable, phi: float) -> float:
-    """E(Q | phi) at a grid node of the phi axis, from ``table.row`` alone:
-    n_nodes dim^2 + components dim^2 n_Q multiply-adds, not the
-    n_phi dim(dim+1)/2 n_Q + n_phi^2 n_Q of building ``table.values``."""
+def _node(table: JointOutcomeTable, phi: float) -> int:
     idx = np.flatnonzero(np.abs(table.phi_grid.points - phi) < 1e-9)
     if idx.size == 0:
         raise ValueError(
             f"phi={phi} is not a node of the table's postselection axis; build the "
             f"grid with with_points() to place readout positions exactly")
-    row = table.row(idx[0])
-    den = float(table.Q_grid.weights @ row)
-    if den < 1e-12:
+    return int(idx[0])
+
+
+def _refuse_vanishing(probability: float, phi: float) -> float:
+    if probability < 1e-12:
         raise ValueError(f"postselection probability at phi={phi} is below 1e-12")
-    return float(table.Q_grid.weights @ (table.Q_grid.points * row) / den)
+    return probability
+
+
+def _exact_terms(table: JointOutcomeTable, index: int):
+    """C at the phi node ``index`` by the exact postselection rule, the
+    pointer-overlap exponents x_c[j, l] = -D^2/(8 sigma_c^2) - i k_c D with
+    D = s_j - s_l, shape (c, dim, dim), and M0 = sum_c w_c e^{x_c}."""
+    joint, kernel = table.joint, table.kernel_phi
+    grid = None if kernel.kind == "gaussian" else table.phi_grid  # None: Hermite, exact
+    coef = _postselection_matrix(joint, kernel, table.phi_grid.points[index], grid)
+    pointer, shifts = joint.pointer, joint.shifts
+    gap = shifts[:, None] - shifts[None, :]
+    x = -gap * gap / (8.0 * pointer.sigmas[:, None, None] ** 2)
+    if np.any(pointer.boosts != 0.0):
+        x = x - 1j * pointer.boosts[:, None, None] * gap
+    return coef, x, np.tensordot(pointer.weights, np.exp(x), 1)
+
+
+def _ratio(coef: np.ndarray, m: np.ndarray, m0: np.ndarray, phi: float) -> float:
+    """Re sum C o M / Re sum C o M0, refusing a postselection probability
+    Re sum C o M0 below 1e-12."""
+    return float(np.sum(coef * m).real) / _refuse_vanishing(float(np.sum(coef * m0).real), phi)
+
+
+def conditional_mean(table: JointOutcomeTable, phi: float) -> float:
+    """E(Q | phi) at a grid node of the phi axis.
+
+    A projective or Gaussian Q kernel is normalized and unbiased, so it
+    leaves E(Q | phi) that of the pointer position, a closed form in the
+    Gaussian pair overlaps: with C the postselection matrix by the exact
+    postselection rule and s_j = eps nu_j,
+
+        E(Q | phi) = Re sum C o M1 / Re sum C o M0,
+        M0 = sum_c w_c e^{x_c},  M1 = sum_c w_c (c_c + (s_j + s_l)/2) e^{x_c},
+
+        x_c[j, l] = -(s_j - s_l)^2/(8 sigma_c^2) - i k_c (s_j - s_l):
+
+    components dim^2 exponentials, no Q grid.  A custom Q kernel may be
+    biased, so its mean is the Q-grid integral of ``table.row``.
+    """
+    index = _node(table, phi)
+    if table.kernel_Q.kind == "custom":
+        row = table.row(index)
+        den = _refuse_vanishing(float(table.Q_grid.weights @ row), phi)
+        return float(table.Q_grid.weights @ (table.Q_grid.points * row) / den)
+    coef, x, m0 = _exact_terms(table, index)
+    pointer, shifts = table.joint.pointer, table.joint.shifts
+    m1 = (np.tensordot(pointer.weights * pointer.centers, np.exp(x), 1)
+          + 0.5 * (shifts[:, None] + shifts[None, :]) * m0)
+    return _ratio(coef, m1, m0, phi)
 
 
 def conditional_pointer_shift(table: JointOutcomeTable, phi: float,
                               baseline: JointOutcomeTable) -> float:
     """[E_eps(Q|phi) - E_0(Q|phi)] / eps, the pointer estimate of Re nu_w(phi).
 
-    ``baseline`` must be the eps = 0 table on identical grids and kernels so
-    that quadrature bias cancels in the difference.
+    ``baseline`` must be the eps = 0 table of the same state and pointer, on
+    identical grids and kernels.  With projective or Gaussian Q kernels
+    E_0(Q|phi) is the pointer mean E_0 = sum_c w_c c_c, and the shift is one
+    contraction, with no subtraction of two means: since
+    sum_c w_c (c_c - E_0) = 0,
+
+        shift = Re sum C o N / Re sum C o M0,
+        N = sum_c w_c [(c_c - E_0) expm1(x_c)/eps + (nu_j + nu_l)/2 e^{x_c}]
+
+    (C, M0 and x_c as in ``conditional_mean``).  With a custom Q kernel the
+    shift is the difference of the two ``conditional_mean``.
     """
     if baseline.epsilon != 0.0:
         raise ValueError("baseline table must be computed at eps = 0")
@@ -434,7 +506,16 @@ def conditional_pointer_shift(table: JointOutcomeTable, phi: float,
     if not np.array_equal(table.phi_grid.points, baseline.phi_grid.points) or \
        not np.array_equal(table.Q_grid.points, baseline.Q_grid.points):
         raise ValueError("baseline grids differ from the table grids")
-    return (conditional_mean(table, phi) - conditional_mean(baseline, phi)) / table.epsilon
+    eps = table.epsilon
+    base_mean = conditional_mean(baseline, phi)  # also the baseline's lookup and refusal
+    if "custom" in (table.kernel_Q.kind, baseline.kernel_Q.kind):
+        return (conditional_mean(table, phi) - base_mean) / eps
+    coef, x, m0 = _exact_terms(table, _node(table, phi))
+    pointer, nu = table.joint.pointer, table.joint.nu_eigvals
+    mean = np.average(pointer.centers, weights=pointer.weights)
+    n = (np.tensordot(pointer.weights * (pointer.centers - mean), np.expm1(x), 1) / eps
+         + 0.5 * (nu[:, None] + nu[None, :]) * m0)
+    return _ratio(coef, n, m0, phi)
 
 
 # ---------------------------------------------------------------------------

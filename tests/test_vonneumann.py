@@ -24,6 +24,7 @@ from weakmeas import (
     n_closed_profile,
     phi_marginal,
     position_density,
+    sigma_from_efficiency,
     simulate_cross_kerr,
     simulate_qubit_pointer,
     wavefunction_table,
@@ -31,6 +32,7 @@ from weakmeas import (
 from weakmeas.povm import smear_matrix
 from weakmeas.vonneumann import position_density as joint_density
 from weakmeas import QuadratureGrid
+from test_acceptance import _pointer_law_system, _second_order_shift
 
 
 def _fock(level, dim):
@@ -326,6 +328,90 @@ def test_table_values_are_smeared_position_density():
                 @ smear_matrix(kernel_q, q.points, q).T)
     assert np.array_equal(table.values, expected)
     assert table.values is table.values
+
+
+SMOOTH_CUSTOM = custom_kernel(gaussian_kernel(0.4).func, 0.4)
+
+
+@pytest.mark.parametrize("pointer", [PointerState.gaussian(0.9), MIXTURE, BOOSTED],
+                         ids=["single", "mixture", "boosted"])
+@pytest.mark.parametrize("n_th", [0.0, 0.8], ids=["rank1", "full_rank"])
+@pytest.mark.parametrize("kernel_phi", [
+    None, gaussian_kernel(0.4), gaussian_kernel(sigma_from_efficiency(0.99)), SMOOTH_CUSTOM,
+], ids=["phi_projective", "phi_gaussian", "phi_eta_0.99", "phi_custom"])
+def test_exact_readout_matches_fine_table_route(pointer, n_th, kernel_phi):
+    """The closed-form mean and shift, read from tables on the 400-node
+    default phi grid, against the table route: the mean of ``values`` at the
+    node on a 1000-node phi grid, where the Gaussian phi smear is resolved
+    down to eta = 0.99 (sigma_eta = 0.071; 1000 and 4000 nodes give means
+    within 4e-16 of each other).  On the 400-node grid itself the eta = 0.99
+    smear is 4e-9 off, which the exact postselection rule does not see."""
+    dim, eps, phi = 20, 0.05, 0.37
+    rho = displaced_thermal_state(alpha_from_quadratures(0.9, 0.4), n_th, dim)
+    nu = make_operator("hamiltonian", dim)
+    joints = [evolve_exact(rho, pointer, nu, e) for e in (eps, 0.0)]
+    q_grid = QuadratureGrid.uniform(16.0, 161)  # trapezoid: resolves the 0.3 Q smear
+
+    def tables(points, kernel_q):
+        phi_grid = default_grid(dim=dim, points=points).with_points([phi])
+        return [joint_distribution(j, kernel_phi, kernel_q, phi_grid, q_grid) for j in joints]
+
+    def table_mean(table):
+        row = table.values[int(np.flatnonzero(table.phi_grid.points == phi)[0])]
+        return float(q_grid.weights @ (q_grid.points * row) / (q_grid.weights @ row))
+
+    for kernel_q in (None, gaussian_kernel(0.3)):
+        exact, fine = tables(400, kernel_q), tables(1000, kernel_q)
+        for table, reference in zip(exact, fine):
+            want = table_mean(reference)
+            assert abs(conditional_mean(table, phi) - want) <= 1e-13 * max(1.0, abs(want))
+        want = (table_mean(fine[0]) - table_mean(fine[1])) / eps
+        assert abs(conditional_pointer_shift(exact[0], phi, exact[1]) - want) <= 1e-12
+
+
+def test_shift_has_no_cancellation_floor():
+    """Criterion 07's system with a single Gaussian pointer.  The shift is
+    one contraction, not (E_eps - E_0)/eps, so dev = shift - q keeps
+    following c(q) eps^2 at eps = 1e-5 and stays at round-off at eps = 1e-7,
+    where the difference of two grid means left about 5e-10."""
+    rho, nu, qs = _pointer_law_system()
+    pointer = PointerState.gaussian(sigma=1.0)
+    phi_grid = default_grid(dim=rho.dim, points=120).with_points(qs)
+    q_grid = QuadratureGrid.gauss_legendre(14.0, 600)
+
+    def table(eps):
+        return joint_distribution(evolve_exact(rho, pointer, nu, eps),
+                                  phi_grid=phi_grid, Q_grid=q_grid)
+
+    baseline, weak, weaker = table(0.0), table(1e-5), table(1e-7)
+    for q in qs:
+        c = _second_order_shift(rho, nu, q, 1.0)
+        dev = conditional_pointer_shift(weak, q, baseline) - q
+        if abs(c) > 1e-12:
+            assert dev / 1e-10 == pytest.approx(c, rel=1e-3)
+        else:
+            assert abs(dev) <= 1e-12
+        assert abs(conditional_pointer_shift(weaker, q, baseline) - q) <= 1e-12
+
+
+@pytest.mark.parametrize("kernel_q", [None, gaussian_kernel(0.3)],
+                         ids=["Q_projective", "Q_gaussian"])
+@pytest.mark.parametrize("kernel_phi", [None, gaussian_kernel(0.4)],
+                         ids=["phi_projective", "phi_gaussian"])
+def test_exact_readout_never_evaluates_pointer_on_q_grid(kernel_phi, kernel_q, monkeypatch):
+    rho = displaced_thermal_state(alpha_from_quadratures(1.0, 0.2), 0.3, 24)
+    phi_grid = default_grid(dim=24, points=100).with_points([0.5])
+    q_grid = QuadratureGrid.gauss_legendre(21.0, 200)
+    baseline, evolved = (
+        joint_distribution(evolve_exact(rho, BOOSTED, make_operator("hamiltonian", 24), e),
+                           kernel_phi, kernel_q, phi_grid, q_grid) for e in (0.0, 0.1))
+
+    def refuse(self, Q, shifts=0.0):
+        raise AssertionError(f"pointer amplitudes evaluated at {np.size(Q)} Q nodes")
+
+    monkeypatch.setattr(PointerState, "amplitudes", refuse)
+    assert math.isfinite(conditional_mean(evolved, 0.5))
+    assert math.isfinite(conditional_pointer_shift(evolved, 0.5, baseline))
 
 
 def test_kerr_fock_state_phase_shift_is_exact():
