@@ -13,7 +13,6 @@ environment variable WEAKMEAS_DIM overrides the default Fock truncation.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -61,8 +60,14 @@ FIGURES = {
 }
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_csv(path: str, header, rows) -> None:
+    """CSV with ``header`` and one CRLF-terminated line per tuple of floats in
+    ``rows``, 17 significant digits each: the bytes ``csv.writer`` writes for
+    ``format(x, ".17g")`` cells, from one %-format per row."""
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line % row for row in rows)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -262,11 +267,7 @@ def cmd_figure(args) -> int:
         with open(path, "w") as fh:
             json.dump([{ax1: a, ax2: b, "probability": p} for a, b, p in rows], fh)
     else:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([ax1, ax2, "probability"])
-            for a, b, p in rows:
-                writer.writerow([_fmt(a), _fmt(b), _fmt(p)])
+        _write_csv(path, (ax1, ax2, "probability"), rows)
     probs = [p for _, _, p in rows]
     _emit({"figure_id": figure_id, "axes": [ax1, ax2], "cells": len(rows),
            "output": path},
@@ -302,22 +303,27 @@ def cmd_distribution(args) -> int:
     else:
         basis = quasiprob.BasisPair.position_momentum(dim, grid, grid)
     dist = quasiprob.s_distribution(rho, basis)
+    results = {"output": opts["output"]}
     if opts["kind"].endswith("_eta"):
-        dist = quasiprob.effective_distribution(dist, povm.gaussian_kernel(_sigma(opts)))
+        kernel = povm.gaussian_kernel(_sigma(opts))
+        dist = quasiprob.effective_distribution(dist, kernel)
+        try:  # the smear's quadrature error on this grid, reported, not refused
+            defect = povm.validate(kernel, grid).max_normalization_defect
+        except ValueError:  # the grid is too narrow to probe the kernel
+            defect = math.nan
+        results["smear_normalization_defect"] = defect
     if opts["kind"].startswith("T"):
         dist = quasiprob.t_distribution(dist)
 
     phi_col = np.repeat(basis.phi_grid.points, basis.xi_points.size)
     xi_col = np.tile(basis.xi_points, basis.phi_grid.size)
     flat = dist.values.reshape(-1)
-    with open(opts["output"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phi", "xi", "re", "im"])
-        for ph, xv, val in zip(phi_col, xi_col, flat):
-            writer.writerow([_fmt(ph), _fmt(xv), _fmt(np.real(val)), _fmt(np.imag(val))])
+    _write_csv(opts["output"], ("phi", "xi", "re", "im"),
+               zip(phi_col.tolist(), xi_col.tolist(), np.real(flat).tolist(),
+                   np.imag(flat).tolist()))
 
     # negativity summaries always refer to the real part of the grid
-    results = {"output": opts["output"], "rows": int(flat.size)}
+    results["rows"] = int(flat.size)
     results.update(summarize_distribution_rows(np.real(flat), phi_col, xi_col))
     scan_src = dist if dist.is_real_kind else quasiprob.t_distribution(dist)
     scan = quasiprob.negativity_scan(scan_src)

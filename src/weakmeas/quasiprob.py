@@ -91,16 +91,20 @@ class BasisPair:
     @classmethod
     def position_momentum(cls, dim: int, phi_grid: QuadratureGrid | None = None,
                           p_grid: QuadratureGrid | None = None) -> "BasisPair":
+        """Position paired with momentum; ``p_grid`` defaults to a grid of as
+        many nodes as ``phi_grid``.  The overlap is taken from cos and sin of
+        phi p, and passing the same grid object for both axes builds the
+        wavefunction table once."""
         if phi_grid is None:
             phi_grid = default_grid(dim=dim)
         if p_grid is None:
             p_grid = default_grid(dim=dim, points=phi_grid.size)
         table = wavefunction_table(dim, phi_grid.points)
+        p_table = table if p_grid is phi_grid else wavefunction_table(dim, p_grid.points)
         phases = (1j) ** np.arange(dim)
-        xi_matrix = phases[:, None] * wavefunction_table(dim, p_grid.points)
-        overlap = np.exp(1j * np.outer(phi_grid.points, p_grid.points)) / math.sqrt(2.0 * math.pi)
+        xi_matrix = phases[:, None] * p_table
         return cls(dim, phi_grid, "momentum", p_grid.points, p_grid.weights,
-                   table, xi_matrix, overlap)
+                   table, xi_matrix, _fourier_overlap(phi_grid.points, p_grid.points))
 
     @classmethod
     def position_custom(cls, columns: np.ndarray,
@@ -126,6 +130,18 @@ class BasisPair:
         gram_xi = (self.xi_matrix * self.xi_weights) @ self.xi_matrix.conj().T
         xi_defect = float(np.max(np.abs(gram_xi - eye)))
         return phi_defect, xi_defect
+
+
+def _fourier_overlap(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """<q_i|p_j> = exp(i p_j q_i)/sqrt(2 pi), from cos and sin written into the
+    real and imaginary parts of one array; bit-identical to ``np.exp(1j * qp)``,
+    without its complex temporaries."""
+    qp = np.outer(q, p)
+    out = np.empty(qp.shape, dtype=complex)
+    np.cos(qp, out=out.real)
+    np.sin(qp, out=out.imag)
+    out /= math.sqrt(2.0 * math.pi)
+    return out
 
 
 @dataclass(frozen=True)
@@ -190,13 +206,25 @@ def s_representation(nu: Observable, basis: BasisPair) -> np.ndarray:
 
 
 def effective_distribution(dist: QuasiDistribution, kernel: DetectorKernel) -> QuasiDistribution:
-    """Convolve the phi axis with a detector kernel."""
+    """Convolve the phi axis with a detector kernel.
+
+    The real smear matrix K of ``smear_matrix`` multiplies the interleaved
+    real view of the values, (n_phi, 2 n_xi) for S kinds, in one real
+    product.  Weights with K[k, i] max_j |V[i, j]| below the smallest normal
+    double are set to zero first: each dropped product is below it, so an
+    output entry moves by at most n_phi times that bound (about 1e-305), and
+    no subnormal reaches the product, where it would slow BLAS sharply.
+    """
     if dist.kind not in ("S", "T"):
         raise ValueError(f"distribution of kind {dist.kind!r} is already smeared")
     if kernel.is_projective:
         return QuasiDistribution(dist.values, dist.basis, dist.kind + "_eta")
+    values = np.ascontiguousarray(dist.values)
+    real = values.view(float)
     smear = smear_matrix(kernel, dist.basis.phi_grid.points, dist.basis.phi_grid)
-    return QuasiDistribution(smear @ dist.values, dist.basis, dist.kind + "_eta")
+    smear[smear * np.abs(real).max(axis=1) < np.finfo(float).tiny] = 0.0
+    return QuasiDistribution((smear @ real).view(values.dtype), dist.basis,
+                             dist.kind + "_eta")
 
 
 def marginal_over_xi(dist: QuasiDistribution) -> np.ndarray:
@@ -221,15 +249,16 @@ def negativity_scan(dist: QuasiDistribution) -> NegativityReport:
     """Global minimum and negative-mass fraction of a real-kind distribution.
 
     The fraction is normalized by the total absolute mass (the signed mass
-    integrates to one, so it would carry no information).
+    integrates to one, so it would carry no information).  Both masses are
+    weighted contractions, w_phi |T| w_xi and -w_phi min(T, 0) w_xi.
     """
     if not dist.is_real_kind:
         raise ValueError("negativity scan is defined for T-kind distributions")
     vals = dist.values.real
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    mass = np.abs(vals) * np.outer(dist.basis.phi_grid.weights, dist.basis.xi_weights)
-    total = mass.sum()
-    negative = mass[vals < 0].sum()
+    w_phi, w_xi = dist.basis.phi_grid.weights, dist.basis.xi_weights
+    total = w_phi @ np.abs(vals) @ w_xi
+    negative = -(w_phi @ np.minimum(vals, 0.0) @ w_xi)
     return NegativityReport(float(vals[i, j]), float(dist.basis.phi_grid.points[i]),
                             float(dist.basis.xi_points[j]),
                             float(negative / total) if total > 0 else 0.0)
@@ -254,7 +283,7 @@ def weak_value_from_distribution(rho: DensityOperator, nu: Observable,
     if basis.xi_kind == "momentum":
         if nu.phase_space_symbol is None:
             raise ValueError("momentum-basis evaluation needs a phase-space symbol")
-        overlap = np.exp(1j * np.outer(rows, basis.xi_points)) / math.sqrt(2.0 * math.pi)
+        overlap = _fourier_overlap(rows, basis.xi_points)
         nu_overlap = nu.phase_space_symbol(rows[:, None], basis.xi_points[None, :]) * overlap
     else:
         overlap = psi.T @ basis.xi_matrix

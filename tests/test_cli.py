@@ -279,3 +279,47 @@ def test_weak_value_agreeing_routes_exit_zero(capsys):
     assert code == 0
     res = last_json(out)["results"]
     assert abs(res["re"] - res["re_trace_formula"]) <= 1e-6
+
+
+def test_csv_rows_match_csv_writer_bytes(tmp_path):
+    from weakmeas.cli import _write_csv
+
+    rows = [(0.1, -2.5, 1.0 / 3.0), (-0.0, 1e-300, 5e-324), (123456789.0, 1e17, -7.25e-8),
+            (float("nan"), float("inf"), -float("inf"))]
+    path = tmp_path / "fast.csv"
+    _write_csv(str(path), ("a", "b", "probability"), rows)
+    ref = tmp_path / "writer.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["a", "b", "probability"])
+        for row in rows:
+            writer.writerow([format(float(x), ".17g") for x in row])
+    assert path.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("eta, low, high", [(0.999, 1.0, 10.0), (0.9, 0.0, 1e-10)])
+def test_distribution_reports_smear_normalization_defect(capsys, tmp_path, eta, low, high):
+    # the 200-node grid cannot resolve the kernel near eta = 1; the record
+    # says so, and the run is not refused
+    code, out, _ = run_cli(capsys, "distribution", "--kind", "T_eta", "--eta", str(eta),
+                           "--output", str(tmp_path / "smeared.csv"))
+    assert code == 0
+    assert low <= last_json(out)["results"]["smear_normalization_defect"] <= high
+
+
+def test_distribution_unsmeared_record_has_no_smear_defect(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "distribution", "--kind", "T", "--dim", "16",
+                           "--points", "60", "--output", str(tmp_path / "plain.csv"))
+    assert code == 0
+    assert "smear_normalization_defect" not in last_json(out)["results"]
+
+
+def test_distribution_smear_defect_is_null_when_grid_cannot_probe(capsys, tmp_path):
+    # at eta = 0.1 eight kernel widths exceed the grid's half width
+    code, out, _ = run_cli(capsys, "distribution", "--kind", "S_eta", "--eta", "0.1",
+                           "--dim", "16", "--points", "60",
+                           "--output", str(tmp_path / "wide.csv"))
+    assert code == 0
+    results = last_json(out)["results"]
+    assert "smear_normalization_defect" in results
+    assert results["smear_normalization_defect"] is None

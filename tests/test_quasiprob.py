@@ -31,9 +31,11 @@ from weakmeas import (
     sigma_from_efficiency,
     t_distribution,
     thermal_s,
+    wavefunction_table,
     weak_value,
     weak_value_from_distribution,
 )
+from weakmeas.povm import smear_matrix
 from conftest import random_density, random_hermitian
 
 
@@ -310,3 +312,71 @@ def test_custom_kernel_distribution_route_matches_grid_trace_formula(rng):
         lhs = weak_value_from_distribution(rho, nu, basis, triangle, phi)
         rhs = weak_value(nu, rho, triangle, phi, grid=default_grid(dim=dim))
         assert abs(lhs - rhs) < 1e-10
+
+
+def _smear_cases(rng):
+    """(basis name, S distribution) on the fock, momentum and custom bases."""
+    dim = 40
+    rho = displaced_thermal_state(alpha_from_quadratures(1.3, 0.6), 0.4, dim)
+    grid = default_grid(dim=dim, alpha=alpha_from_quadratures(1.3, 0.6), n_th=0.4,
+                        points=400)
+    g = rng.normal(size=(dim, 12)) + 1j * rng.normal(size=(dim, 12))
+    columns = np.linalg.qr(g)[0]
+    for name, basis in (("fock", BasisPair.position_fock(dim, grid)),
+                        ("momentum", BasisPair.position_momentum(dim, grid, grid)),
+                        ("custom", BasisPair.position_custom(columns, grid))):
+        yield name, s_distribution(rho, basis)
+
+
+@pytest.mark.parametrize("eta", [0.5, 0.9, 0.99])
+def test_effective_distribution_matches_dense_smear(rng, eta):
+    kernel = gaussian_kernel(sigma_from_efficiency(eta))
+    for name, dist in _smear_cases(rng):
+        grid = dist.basis.phi_grid
+        dense = smear_matrix(kernel, grid.points, grid)
+        for src in (dist, t_distribution(dist)):
+            eff = effective_distribution(src, kernel)
+            assert eff.values.dtype == src.values.dtype
+            ref = dense @ src.values
+            bound = 1e-14 * np.max(np.abs(src.values))
+            assert np.max(np.abs(eff.values - ref)) <= bound, (name, src.kind)
+
+
+def test_effective_distribution_drops_sub_tiny_products(rng):
+    # a narrow kernel on a wide grid: some smear weights times the largest
+    # value of their row fall below the smallest normal double, so the
+    # product skips them, and the result still meets the dense product
+    kernel = gaussian_kernel(sigma_from_efficiency(0.99))
+    name, dist = next(c for c in _smear_cases(rng) if c[0] == "momentum")
+    grid = dist.basis.phi_grid
+    dense = smear_matrix(kernel, grid.points, grid)
+    row_max = np.maximum(np.abs(dist.values.real), np.abs(dist.values.imag)).max(axis=1)
+    dropped = (dense > 0) & (dense * row_max < np.finfo(float).tiny)
+    assert np.count_nonzero(dropped) > 0
+    eff = effective_distribution(dist, kernel)
+    assert np.max(np.abs(eff.values - dense @ dist.values)) <= (
+        1e-14 * np.max(np.abs(dist.values)))
+
+
+def test_momentum_basis_matches_exponential_construction():
+    dim = 30
+    phi_grid = default_grid(dim=dim, points=240)
+    other = default_grid(dim=dim, points=170, half_width=9.0)
+    for p_grid in (phi_grid, other):
+        basis = BasisPair.position_momentum(dim, phi_grid, p_grid)
+        overlap = np.exp(1j * np.outer(phi_grid.points, p_grid.points)) / math.sqrt(
+            2.0 * math.pi)
+        xi_matrix = (1j) ** np.arange(dim)[:, None] * wavefunction_table(dim, p_grid.points)
+        assert np.array_equal(basis.overlap, overlap)
+        assert np.array_equal(basis.xi_matrix, xi_matrix)
+        assert np.array_equal(basis.phi_table, wavefunction_table(dim, phi_grid.points))
+
+
+def test_negativity_scan_matches_weighted_mass(rng):
+    dim = 24
+    for basis in (BasisPair.position_fock(dim), BasisPair.position_momentum(dim)):
+        for _ in range(3):
+            dist = t_distribution(s_distribution(random_density(dim, rng), basis))
+            mass = np.abs(dist.values) * np.outer(basis.phi_grid.weights, basis.xi_weights)
+            expected = mass[dist.values < 0].sum() / mass.sum()
+            assert abs(negativity_scan(dist).negative_mass_fraction - expected) < 1e-14
