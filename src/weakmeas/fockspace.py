@@ -19,6 +19,7 @@ pure functions, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 import warnings
@@ -252,43 +253,52 @@ def default_grid(dim: int | None = None, alpha: complex = 0.0, n_th: float = 0.0
     return QuadratureGrid.gauss_legendre(half_width, points)
 
 
-def _ladder(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
+def _banded(dim: int, diagonals: dict[int, np.ndarray]) -> np.ndarray:
+    """Complex dim x dim matrix with the given {offset: values} diagonals."""
+    m = np.zeros((dim, dim), dtype=complex)
+    for k, values in diagonals.items():
+        np.fill_diagonal(m[max(-k, 0):, max(k, 0):], values)
+    return m
 
 
 def make_operator(kind: str, dim: int) -> Observable:
     """Standard single-mode operator in the ladder representation.
 
-    ``momentum_squared`` and ``hamiltonian`` are assembled from ladder
-    products that stay exact under truncation (n + 1/2 - (aa + a^dag a^dag)/2
-    rather than the matrix square of p, whose bottom-right corner is wrong).
-    ``annihilation``/``creation`` are non-Hermitian construction helpers; all
-    other kinds are Hermitian observables.
+    Every kind is written from its diagonals: a has sqrt(n) one above the
+    diagonal, and ``momentum_squared`` and ``hamiltonian`` keep the forms that
+    stay exact under truncation, n + 1/2 on the diagonal and
+    -(aa + a^dag a^dag)/2 two off it (the matrix square of p has a wrong
+    bottom-right corner).  ``annihilation``/``creation`` are non-Hermitian
+    construction helpers; all other kinds are Hermitian observables.
     """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     if kind not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}")
-    a = _ladder(dim)
-    adag = a.conj().T
-    eye = np.eye(dim, dtype=complex)
-    number = adag @ a
+    n = np.arange(dim, dtype=float)
+    root_n = np.sqrt(n[1:])
     root2 = math.sqrt(2.0)
     if kind == "annihilation":
-        return Observable(a, -math.inf, lambda q, p: (q + 1j * p) / root2)
+        return Observable(_banded(dim, {1: root_n}), -math.inf,
+                          lambda q, p: (q + 1j * p) / root2)
     if kind == "creation":
-        return Observable(adag, -math.inf, lambda q, p: (q - 1j * p) / root2)
+        return Observable(_banded(dim, {-1: root_n}), -math.inf,
+                          lambda q, p: (q - 1j * p) / root2)
     if kind == "number":
-        return Observable(number, 0.0, lambda q, p: (q * q + p * p - 1.0) / 2.0)
+        return Observable(_banded(dim, {0: n}), 0.0, lambda q, p: (q * q + p * p - 1.0) / 2.0)
     if kind == "position":
-        return Observable((a + adag) / root2, -math.inf, lambda q, p: q + 0.0 * p)
+        off = root_n / root2
+        return Observable(_banded(dim, {1: off, -1: off}), -math.inf, lambda q, p: q + 0.0 * p)
     if kind == "momentum":
-        return Observable((a - adag) / (1j * root2), -math.inf, lambda q, p: p + 0.0 * q)
+        off = root_n / root2
+        return Observable(_banded(dim, {1: -1j * off, -1: 1j * off}), -math.inf,
+                          lambda q, p: p + 0.0 * q)
     if kind == "momentum_squared":
-        m = number + 0.5 * eye - 0.5 * (a @ a + adag @ adag)
-        return Observable(m, 0.0, lambda q, p: p * p + 0.0 * q)
+        off = -0.5 * (root_n[:-1] * root_n[1:])
+        return Observable(_banded(dim, {0: n + 0.5, 2: off, -2: off}), 0.0,
+                          lambda q, p: p * p + 0.0 * q)
     # hamiltonian
-    return Observable(number + 0.5 * eye, 0.5, lambda q, p: (q * q + p * p) / 2.0)
+    return Observable(_banded(dim, {0: n + 0.5}), 0.5, lambda q, p: (q * q + p * p) / 2.0)
 
 
 def _check_truncation(load: float, dim: int, strict: bool) -> None:
@@ -301,12 +311,35 @@ def _check_truncation(load: float, dim: int, strict: bool) -> None:
         warnings.warn(msg, TruncationWarning, stacklevel=3)
 
 
+@lru_cache(maxsize=8)
+def _position_eigensystem(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues x and the rows V^T of q = V diag(x) V^T, the truncated
+    position matrix: the Jacobi matrix whose eigenvalues are ``hermite_rule``'s
+    nodes.  Read-only and cached per dim."""
+    x, v = np.linalg.eigh(np.diag(np.sqrt(np.arange(1.0, dim) / 2.0), -1))
+    vt = np.ascontiguousarray(v.T)
+    x.setflags(write=False)
+    vt.setflags(write=False)
+    return x, vt
+
+
 def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
-    """exp(alpha a^dag - alpha* a) = exp(-i G) through the eigendecomposition
-    of the Hermitian generator G = i(alpha a^dag - alpha* a)."""
-    a = _ladder(dim)
-    lam, v = np.linalg.eigh(1j * (alpha * a.conj().T - np.conj(alpha) * a))
-    return (v * np.exp(-1j * lam)) @ v.conj().T
+    """exp(alpha a^dag - alpha* a) on the truncated Fock basis.
+
+    With alpha = |alpha| e^{i theta} and S = diag(e^{i n (theta - pi/2)}), the
+    generator is i sqrt2 |alpha| S q S^dag exactly at every truncation, so
+    D = S V diag(e^{i sqrt2 |alpha| x}) V^T S^dag from the eigensystem
+    q = V diag(x) V^T of the truncated position matrix, computed once per dim.
+    """
+    if dim < 2:
+        raise ValueError(f"dim must be >= 2, got {dim}")
+    _require_finite_alpha(alpha)
+    x, vt = _position_eigensystem(dim)
+    phase = np.exp(1j * (cmath.phase(alpha) - math.pi / 2.0) * np.arange(dim))
+    z = np.exp(1j * math.sqrt(2.0) * abs(alpha) * x)[:, None] * vt
+    # V diag(e) V^T as one real product on the interleaved (re, im) columns of z
+    w = (vt.T @ z.view(float)).view(complex)
+    return phase[:, None] * w * phase.conj()
 
 
 def _require_finite_alpha(alpha: complex) -> None:
@@ -329,9 +362,7 @@ def coherent_state(alpha: complex, dim: int, strict: bool = False) -> DensityOpe
     return DensityOperator(np.outer(coeff, coeff.conj()))
 
 
-def thermal_state(n_th: float, dim: int) -> DensityOperator:
-    """Thermal state with mean occupation n_th; geometric Fock weights
-    n_th^n / (1 + n_th)^(n+1), renormalized after truncation."""
+def _thermal_weights(n_th: float, dim: int) -> np.ndarray:
     if not (math.isfinite(n_th) and n_th >= 0):
         raise ValueError(f"n_th must be finite and >= 0, got {n_th}")
     if n_th == 0:
@@ -339,8 +370,13 @@ def thermal_state(n_th: float, dim: int) -> DensityOperator:
         w[0] = 1.0
     else:
         w = np.exp(np.arange(dim) * math.log(n_th / (1.0 + n_th))) / (1.0 + n_th)
-    w = w / w.sum()
-    return DensityOperator(np.diag(w).astype(complex))
+    return w / w.sum()
+
+
+def thermal_state(n_th: float, dim: int) -> DensityOperator:
+    """Thermal state with mean occupation n_th; geometric Fock weights
+    n_th^n / (1 + n_th)^(n+1), renormalized after truncation."""
+    return DensityOperator(np.diag(_thermal_weights(n_th, dim)).astype(complex))
 
 
 def displaced_thermal_state(alpha: complex, n_th: float, dim: int,
@@ -353,10 +389,10 @@ def displaced_thermal_state(alpha: complex, n_th: float, dim: int,
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     _require_finite_alpha(alpha)
-    thermal = thermal_state(n_th, dim)  # refuses a negative or non-finite n_th
+    root_p = np.sqrt(_thermal_weights(n_th, dim))  # refuses a negative or non-finite n_th
     _check_truncation(abs(alpha) ** 2 + n_th, dim, strict)
-    disp = displacement_operator(alpha, dim)
-    rho = disp @ thermal.matrix @ disp.conj().T
+    m = displacement_operator(alpha, dim) * root_p  # rho = D diag(p) D^dag = M M^dag
+    rho = m @ m.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     return DensityOperator(rho)

@@ -3,9 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import weakmeas
@@ -24,7 +27,7 @@ from weakmeas import (
     thermal_state,
     wavefunction_table,
 )
-from weakmeas.fockspace import displacement_operator
+from weakmeas.fockspace import OPERATOR_KINDS, displacement_operator
 
 
 def test_number_operator_diagonal():
@@ -76,6 +79,38 @@ def test_make_operator_rejects_small_dim_and_unknown_kind():
         make_operator("number", 1)
     with pytest.raises(ValueError):
         make_operator("parity", 8)
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+def test_displacement_operator_rejects_small_dim(dim):
+    with pytest.raises(ValueError, match="dim must be >= 2"):
+        displacement_operator(0.5, dim)
+
+
+def _ladder_product_operator(kind, dim):
+    """The operator kinds as dense products of the complex ladder matrices."""
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
+    adag = a.conj().T
+    eye = np.eye(dim, dtype=complex)
+    number = adag @ a
+    return {
+        "annihilation": a,
+        "creation": adag,
+        "number": number,
+        "position": (a + adag) / math.sqrt(2.0),
+        "momentum": (a - adag) / (1j * math.sqrt(2.0)),
+        "momentum_squared": number + 0.5 * eye - 0.5 * (a @ a + adag @ adag),
+        "hamiltonian": number + 0.5 * eye,
+    }[kind]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 40, 120])
+def test_make_operator_matches_ladder_products(dim):
+    for kind in OPERATOR_KINDS:
+        reference = _ladder_product_operator(kind, dim)
+        got = make_operator(kind, dim).matrix
+        assert np.all(np.abs(got - reference) <= 1e-15 * np.abs(reference)), kind
+    assert np.array_equal(np.diag(make_operator("number", dim).matrix), np.arange(dim))
 
 
 def test_coherent_vacuum_is_ground_projector():
@@ -272,6 +307,69 @@ def test_displacement_operator_matches_expm(dim):
     for alpha in (alpha_from_quadratures(1.0, 0.3), alpha_from_quadratures(-2.5, 1.7)):
         reference = expm(alpha * a.T - np.conj(alpha) * a)
         assert np.max(np.abs(displacement_operator(alpha, dim) - reference)) < 1e-13
+
+
+def _generator_route(alpha, dim):
+    """D(alpha) through an eigh of the Hermitian generator i(alpha a^dag - alpha* a)."""
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
+    lam, v = np.linalg.eigh(1j * (alpha * a.T - np.conj(alpha) * a))
+    return (v * np.exp(-1j * lam)) @ v.conj().T
+
+
+# zero, each axis, each quadrant
+ORACLE_ALPHAS = [0.0, 1.2, -1.2, 1.2j, -1.2j,
+                 1.1 + 0.7j, -0.9 + 1.3j, -1.4 - 0.6j, 0.5 - 1.6j]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 16, 40, 80, 200])
+def test_displacement_matches_generator_eigh(dim):
+    for alpha in ORACLE_ALPHAS:
+        disp = _generator_route(alpha, dim)
+        assert np.max(np.abs(displacement_operator(alpha, dim) - disp)) <= 1e-13, alpha
+        for n_th in (0.0, 0.45):
+            rho = disp @ thermal_state(n_th, dim).matrix @ disp.conj().T
+            rho = 0.5 * (rho + rho.conj().T)
+            rho = rho / np.trace(rho).real
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncationWarning)
+                got = displaced_thermal_state(alpha, n_th, dim).matrix
+            assert np.max(np.abs(got - rho)) <= 1e-14, (alpha, n_th)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 16, 40, 80, 200])
+def test_displacement_is_unitary_with_inverse_at_minus_alpha(dim):
+    eye = np.eye(dim)
+    for alpha in ORACLE_ALPHAS:
+        disp = displacement_operator(alpha, dim)
+        assert np.max(np.abs(disp @ disp.conj().T - eye)) <= 1e-13, alpha
+        assert np.max(np.abs(disp @ displacement_operator(-alpha, dim) - eye)) <= 1e-13, alpha
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(alpha_r=st.floats(-3.0, 3.0), alpha_i=st.floats(-2.0, 2.0), n_th=st.floats(0.0, 1.0),
+       dim=st.integers(2, 80))
+def test_displaced_thermal_state_always_validates(alpha_r, alpha_i, n_th, dim):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        rho = displaced_thermal_state(alpha_from_quadratures(alpha_r, alpha_i), n_th, dim)
+    rho.validate()
+
+
+def test_displacement_reuses_one_eigensystem_per_dim(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh", "eig"):
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    dim = 29
+    displaced_thermal_state(0.3, 0.2, dim)
+    assert len(calls) <= 1
+    calls.clear()
+    for alpha in ORACLE_ALPHAS:
+        displaced_thermal_state(alpha, 0.6, dim)
+        displacement_operator(alpha, dim)
+    assert calls == []
 
 
 def test_import_loads_no_scipy():

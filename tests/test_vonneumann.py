@@ -29,6 +29,7 @@ from weakmeas import (
     simulate_qubit_pointer,
     wavefunction_table,
 )
+from weakmeas.fockspace import displacement_operator
 from weakmeas.povm import smear_matrix
 from weakmeas.vonneumann import position_density as joint_density
 from weakmeas import QuadratureGrid
@@ -542,6 +543,8 @@ def test_position_density_matches_dense_operator_oracle():
     (lambda: coherent_state(math.nan, 10), "alpha"),
     (lambda: coherent_state(complex(0.0, math.inf), 10), "alpha"),
     (lambda: displaced_thermal_state(math.nan, 0.1, 10), "alpha"),
+    (lambda: displacement_operator(math.nan, 4), "alpha"),
+    (lambda: displacement_operator(complex(math.inf, 0.0), 4), "alpha"),
     (lambda: displaced_thermal_state(0.5, math.nan, 10), "n_th"),
     (lambda: displaced_thermal_state(0.5, math.inf, 10), "n_th"),
     (lambda: PointerState.qubit(math.nan, 0.0), "Bloch"),
@@ -551,7 +554,8 @@ def test_position_density_matches_dense_operator_oracle():
     (lambda: PointerState.gaussian(boost=math.nan), "boosts"),
     (lambda: PointerState.gaussian_mixture([(math.nan, 0.0, 1.0), (0.5, 1.0, 1.0)]),
      "weights"),
-], ids=["coherent_nan", "coherent_inf", "thermal_alpha", "thermal_n_th_nan",
+], ids=["coherent_nan", "coherent_inf", "thermal_alpha", "displacement_nan",
+        "displacement_inf", "thermal_n_th_nan",
         "thermal_n_th_inf", "qubit_s_x", "qubit_s_y", "gaussian_sigma", "gaussian_center",
         "gaussian_boost", "mixture_weight"])
 def test_non_finite_state_and_pointer_refused(call, name):
