@@ -373,7 +373,8 @@ def _simulate_generic(opts) -> dict:
                 "relative_deviation": math.nan, "richardson_ratio": math.nan,
                 "note": "zero coupling leaves the joint state a product"}
 
-    start = vonneumann.evolve_exact(rho, pointer, nu, 0.0)  # the one pair of eigh
+    # the one eigh of nu and the one U^dag rho U; every coupling composes on them
+    start = vonneumann.evolve_exact(rho, pointer, nu, 0.0)
 
     def table(e, q_grid=None):
         joint = vonneumann.evolve_further(start, e)

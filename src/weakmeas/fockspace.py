@@ -24,7 +24,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -98,6 +98,8 @@ class DensityOperator:
         m = np.array(self.matrix, dtype=complex)  # own copy, frozen below
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix entries must be finite")
         object.__setattr__(self, "matrix", m)
         m.setflags(write=False)
 
@@ -147,12 +149,24 @@ class Observable:
         m = np.array(self.matrix, dtype=complex)  # own copy, frozen below
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("observable matrix must be square")
+        if not np.isfinite(m).all():
+            raise ValueError("observable matrix entries must be finite")
         object.__setattr__(self, "matrix", m)
         m.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and eigenvector columns of the (Hermitian) matrix by
+        one ``eigh`` on first access, read-only and kept: every use of this
+        observable shares them."""
+        vals, vecs = np.linalg.eigh(self.matrix)
+        vals.setflags(write=False)
+        vecs.setflags(write=False)
+        return vals, vecs
 
     def is_hermitian(self, tol: float = HERM_TOL) -> bool:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)

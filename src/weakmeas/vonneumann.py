@@ -6,18 +6,22 @@ unitary U = exp(-i eps nu x P) with no free evolution before readout.  In
 the nu-eigenbasis U translates the pointer by eps times the eigenvalue, so
 the joint state is computed exactly to all orders in eps: eigendecompose nu,
 translate each pointer component, superpose.  There is no propagation or
-Trotter error.  The joint position density is one sum over pairs j <= l of
+Trotter error.  The object state is held as R = U^dag rho U, one matrix
+product with no eigendecomposition of rho and no rank clip, and the one
+``eigh`` of nu is kept on the ``Observable``, shared by every joint state
+built from it.  The joint position density is one sum over pairs j <= l of
 nu eigenvectors, a real matrix product of n_phi dim(dim+1)/2 n_Q
 multiply-adds whatever the rank of the state or the number of pointer
 components (``position_density``).  A ``joint_distribution`` table builds
 that density, and its smears, by quadrature on its readout grids on first
-access to ``values``.  ``conditional_mean`` and ``conditional_pointer_shift``
-never build it: with a projective or Gaussian Q kernel they are closed forms
-in the Gaussian pair overlaps of the pointer, taken over the exact
-postselection rule (components dim^2 exponentials, no grid at all for a
-projective or Gaussian phi kernel); only a custom Q kernel, which may be
-biased, is read from one postselection row on the Q grid
-(``JointOutcomeTable.row``).
+access to ``values``.  ``conditional_mean`` and
+``conditional_pointer_shift`` never build it: with a projective or Gaussian
+Q kernel they are closed forms in the Gaussian pair overlaps of the pointer,
+taken over the exact postselection rule (components dim^2 exponentials, no
+grid at all for a projective or Gaussian phi kernel), and a shift builds its
+one postselection matrix C for both couplings, since C does not depend on
+eps; only a custom Q kernel, which may be biased, is read from one
+postselection row on the Q grid (``JointOutcomeTable.row``).
 
 Pointers may be arbitrary Gaussian mixtures.  The first-order readout law
 (conditional pointer mean shifted by eps * Re nu_w) requires only that the
@@ -84,8 +88,7 @@ __all__ = [
     "QubitPointerResult",
 ]
 
-RANK_CLIP = 1e-14  # relative eigenvalue cutoff when decomposing mixed states
-PHI_BLOCK = 64     # postselection rows per block of pair coefficients
+PHI_BLOCK = 64  # postselection rows per block of pair coefficients
 
 
 class UnsupportedPointerError(TypeError):
@@ -215,15 +218,16 @@ def check_zero_current(pointer: PointerState,
 class JointState:
     """Exactly evolved object-pointer state in the observable's eigenbasis.
 
-    Holds the eigendecompositions rather than a grid, so evaluation at any
-    resolution stays exact in the coupling strength and composition of
-    interactions is just addition of pointer translations.
+    Holds the eigensystem U of nu (shared with the ``Observable``, one
+    ``eigh`` per observable) and the object state as R = U^dag rho U, any
+    rank and no clip, rather than a grid, so evaluation at any resolution
+    stays exact in the coupling strength and composition of interactions is
+    just addition of pointer translations.
     """
 
     nu_eigvals: np.ndarray       # (dim,)
     nu_vectors: np.ndarray       # (dim, dim), columns are eigenvectors
-    state_weights: np.ndarray    # (rank,)
-    state_vectors: np.ndarray    # (dim, rank), object eigvecs in nu-eigenbasis
+    state: np.ndarray            # (dim, dim), R = U^dag rho U, read-only
     pointer: PointerState
     epsilon: float
 
@@ -251,26 +255,21 @@ def evolve_exact(rho_s: DensityOperator, pointer: PointerState, nu: Observable,
         raise ValueError("measured observable must be Hermitian")
     if nu.dim != rho_s.dim:
         raise ValueError(f"observable dim {nu.dim} != state dim {rho_s.dim}")
-    vals, vecs = np.linalg.eigh(nu.matrix)
-    lam, u = np.linalg.eigh(rho_s.matrix)
-    keep = lam > RANK_CLIP * lam.max()
-    lam, u = lam[keep], u[:, keep]
-    return JointState(vals, vecs, lam, vecs.conj().T @ u, pointer, epsilon)
+    vals, vecs = nu.eigensystem
+    state = vecs.conj().T @ rho_s.matrix @ vecs
+    state.setflags(write=False)
+    return JointState(vals, vecs, state, pointer, epsilon)
 
 
 def evolve_further(joint: JointState, extra_epsilon: float) -> JointState:
     """Compose another impulse of the same coupling; translations add."""
-    return JointState(joint.nu_eigvals, joint.nu_vectors, joint.state_weights,
-                      joint.state_vectors, joint.pointer,
+    return JointState(joint.nu_eigvals, joint.nu_vectors, joint.state, joint.pointer,
                       joint.epsilon + _finite_coupling(extra_epsilon))
 
 
-def _bra_and_state(joint: JointState, phi_points: np.ndarray):
-    """psi(phi)^T U, the postselection bras in the nu eigenbasis, and
-    R = U^dag rho U, the state there."""
-    bra = wavefunction_table(joint.nu_eigvals.size, phi_points).T @ joint.nu_vectors
-    vecs = joint.state_vectors
-    return bra, (vecs * joint.state_weights) @ vecs.conj().T
+def _bras(joint: JointState, phi_points: np.ndarray) -> np.ndarray:
+    """psi(phi)^T U, the postselection bras in the nu eigenbasis."""
+    return wavefunction_table(joint.nu_eigvals.size, phi_points).T @ joint.nu_vectors
 
 
 def _postselection_matrix(joint: JointState, kernel_phi: DetectorKernel, phi: float,
@@ -279,8 +278,8 @@ def _postselection_matrix(joint: JointState, kernel_phi: DetectorKernel, phi: fl
     ``postselection_rule(kernel_phi, phi, dim, grid)`` and B = psi(x)^T U:
     the state in the nu eigenbasis, weighted by the postselection."""
     nodes, weights = postselection_rule(kernel_phi, phi, joint.nu_eigvals.size, grid)
-    bra, rho_nu = _bra_and_state(joint, nodes[0])
-    return (bra.T * weights[0]) @ bra.conj() * rho_nu
+    bra = _bras(joint, nodes[0])
+    return (bra.T * weights[0]) @ bra.conj() * joint.state
 
 
 def position_density(joint: JointState, phi_points, Q_points) -> np.ndarray:
@@ -296,14 +295,16 @@ def position_density(joint: JointState, phi_points, Q_points) -> np.ndarray:
     That is one real product of an (n_phi, dim(dim+1)/2) coefficient table
     with the (dim(dim+1)/2, n_Q) pair table: n_phi dim(dim+1)/2 n_Q real
     multiply-adds (four times that for a boosted pointer, whose pairs are
-    complex), whatever the rank of rho and the number of components.
+    complex), whatever the rank of rho and the number of components.  R is
+    the stored ``JointState.state`` (no eigendecomposition of rho, no rank
+    clip) and U the observable's one kept ``eigh``.
     """
     phi_points = np.atleast_1d(np.asarray(phi_points, dtype=float))
     Q_points = np.atleast_1d(np.asarray(Q_points, dtype=float))
     dim = joint.nu_eigvals.size
-    bra, rho_nu = _bra_and_state(joint, phi_points)                  # (n_phi, dim)
+    bra = _bras(joint, phi_points)                                  # (n_phi, dim)
     j, l = np.triu_indices(dim)
-    rho_pairs = np.where(j == l, 1.0, 2.0) * rho_nu[j, l]
+    rho_pairs = np.where(j == l, 1.0, 2.0) * joint.state[j, l]
     amps = joint.pointer.amplitudes(Q_points, joint.shifts)         # (c, dim, n_Q)
     weighted, conjugate = joint.pointer.weights[:, None, None] * amps, np.conj(amps)
     pairs = np.concatenate([np.einsum("cq,ckq->kq", weighted[:, row], conjugate[:, row:])
@@ -403,7 +404,7 @@ def joint_distribution(joint: JointState,
     # the readout law assumes the pointer density dies off inside the grid;
     # the phi-integrated pointer density is occupation-weighted over the
     # translated components
-    occupation = np.abs(joint.state_vectors) ** 2 @ joint.state_weights
+    occupation = joint.state.diagonal().real
     borders = joint.pointer.amplitudes(Q_grid.points[[0, -1]], joint.shifts)
     per_shift = np.sum(joint.pointer.weights[:, None, None] * np.abs(borders) ** 2,
                        axis=0)
@@ -483,34 +484,64 @@ def conditional_mean(table: JointOutcomeTable, phi: float) -> float:
     return _ratio(coef, m1, m0, phi)
 
 
+def _same(x: np.ndarray, y: np.ndarray) -> bool:
+    return x is y or np.array_equal(x, y)
+
+
+def _same_kernel(a: DetectorKernel, b: DetectorKernel) -> bool:
+    """A Gaussian or projective kernel is fixed by its width, a custom one by its function."""
+    return a.kind == b.kind and (a.func is b.func if a.kind == "custom"
+                                 else a.width_sigma_eta == b.width_sigma_eta)
+
+
+def _require_same_setup(table: JointOutcomeTable, baseline: JointOutcomeTable) -> None:
+    """Refuse a baseline that is not the table's own setup at eps = 0."""
+    a, b = table.joint, baseline.joint
+    checks = (
+        ("grids", _same(table.phi_grid.points, baseline.phi_grid.points)
+         and _same(table.Q_grid.points, baseline.Q_grid.points)),
+        ("nu eigenvectors", _same(a.nu_vectors, b.nu_vectors)),
+        ("state", _same(a.state, b.state)),
+        ("pointer", a.pointer.kind == b.pointer.kind
+         and all(_same(getattr(a.pointer, name), getattr(b.pointer, name))
+                 for name in ("weights", "centers", "sigmas", "boosts"))),
+        ("phi kernel", _same_kernel(table.kernel_phi, baseline.kernel_phi)),
+        ("Q kernel", _same_kernel(table.kernel_Q, baseline.kernel_Q)),
+    )
+    for name, same in checks:
+        if not same:
+            raise ValueError(f"baseline and table differ in their {name}")
+
+
 def conditional_pointer_shift(table: JointOutcomeTable, phi: float,
                               baseline: JointOutcomeTable) -> float:
     """[E_eps(Q|phi) - E_0(Q|phi)] / eps, the pointer estimate of Re nu_w(phi).
 
     ``baseline`` must be the eps = 0 table of the same state and pointer, on
-    identical grids and kernels.  With projective or Gaussian Q kernels
-    E_0(Q|phi) is the pointer mean E_0 = sum_c w_c c_c, and the shift is one
-    contraction, with no subtraction of two means: since
-    sum_c w_c (c_c - E_0) = 0,
+    identical grids and kernels; a baseline whose grids, nu eigenvectors,
+    state, pointer or kernels differ from the table's is refused.  With
+    projective or Gaussian Q kernels E_0(Q|phi) is the pointer mean
+    E_0 = sum_c w_c c_c, and the shift is one contraction, with no
+    subtraction of two means: since sum_c w_c (c_c - E_0) = 0,
 
         shift = Re sum C o N / Re sum C o M0,
         N = sum_c w_c [(c_c - E_0) expm1(x_c)/eps + (nu_j + nu_l)/2 e^{x_c}]
 
-    (C, M0 and x_c as in ``conditional_mean``).  With a custom Q kernel the
-    shift is the difference of the two ``conditional_mean``.
+    (C, M0 and x_c as in ``conditional_mean``).  C does not depend on eps, so
+    it is built once, and the baseline's postselection probability is
+    Re sum C (M0 = 1 at eps = 0).  With a custom Q kernel the shift is the
+    difference of the two ``conditional_mean``.
     """
     if baseline.epsilon != 0.0:
         raise ValueError("baseline table must be computed at eps = 0")
     if table.epsilon == 0.0:
         raise ValueError("shift extraction needs a nonzero coupling")
-    if not np.array_equal(table.phi_grid.points, baseline.phi_grid.points) or \
-       not np.array_equal(table.Q_grid.points, baseline.Q_grid.points):
-        raise ValueError("baseline grids differ from the table grids")
+    _require_same_setup(table, baseline)
     eps = table.epsilon
-    base_mean = conditional_mean(baseline, phi)  # also the baseline's lookup and refusal
-    if "custom" in (table.kernel_Q.kind, baseline.kernel_Q.kind):
-        return (conditional_mean(table, phi) - base_mean) / eps
+    if table.kernel_Q.kind == "custom":
+        return (conditional_mean(table, phi) - conditional_mean(baseline, phi)) / eps
     coef, x, m0 = _exact_terms(table, _node(table, phi))
+    _refuse_vanishing(float(np.sum(coef).real), phi)  # the baseline's probability
     pointer, nu = table.joint.pointer, table.joint.nu_eigvals
     mean = np.average(pointer.centers, weights=pointer.weights)
     n = (np.tensordot(pointer.weights * (pointer.centers - mean), np.expm1(x), 1) / eps

@@ -185,6 +185,18 @@ def test_simulate_generic_matches_profile(capsys):
     assert res["relative_deviation"] < 0.01
 
 
+def test_simulate_generic_mixed_state_imperfect_postselection(capsys):
+    # the baseline is the eps = 0 start that every coupling is composed from
+    code, out, _ = run_cli(capsys, "simulate", "--coupling", "generic",
+                           "--observable", "H", "--alpha-r", "1", "--nth", "0.5",
+                           "--eta", "0.9", "--epsilon", "1e-3", "--postselect-q", "-0.5",
+                           "--dim", "30")
+    assert code == 0
+    res = last_json(out)["results"]
+    assert res["relative_deviation"] < 1e-5
+    assert res["richardson_ratio"] == pytest.approx(4.0, abs=0.05)
+
+
 def test_simulate_qubit_fock_state(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--coupling", "qubit", "--fock", "2",
                            "--epsilon", "0.05", "--postselect-q", "0.3",

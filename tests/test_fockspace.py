@@ -13,6 +13,8 @@ from scipy.linalg import expm
 
 import weakmeas
 from weakmeas import (
+    DensityOperator,
+    Observable,
     QuadratureGrid,
     TruncationWarning,
     alpha_from_quadratures,
@@ -79,6 +81,16 @@ def test_make_operator_rejects_small_dim_and_unknown_kind():
         make_operator("number", 1)
     with pytest.raises(ValueError):
         make_operator("parity", 8)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)],
+                         ids=["nan", "inf", "imag_inf"])
+@pytest.mark.parametrize("cls", [DensityOperator, Observable])
+def test_non_finite_matrix_refused(cls, bad):
+    m = thermal_state(0.3, 6).matrix.copy()
+    m[2, 3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        cls(m)
 
 
 @pytest.mark.parametrize("dim", [0, 1])

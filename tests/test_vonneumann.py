@@ -282,6 +282,20 @@ def test_narrow_readout_grid_warns():
 
 
 BOOSTED = PointerState.gaussian_mixture([(0.6, -0.8, 0.7, 0.5), (0.4, 1.0, 1.3)])
+SMOOTH_CUSTOM = custom_kernel(gaussian_kernel(0.4).func, 0.4)
+
+
+def _rank(rho):
+    """Numerical rank of rho: eigenvalues above 1e-14 of the largest."""
+    lam = np.linalg.eigvalsh(rho.matrix)
+    return int(np.sum(lam > 1e-14 * lam.max()))
+
+
+def _assert_state_is_rotated(joint, rho, nu):
+    """The joint state holds U^dag rho U, U from a dense eigh of nu: every
+    rank is kept, with nothing clipped."""
+    u = np.linalg.eigh(nu.matrix)[1]
+    assert np.max(np.abs(joint.state - u.conj().T @ (rho.matrix @ u))) <= 1e-15
 
 
 @pytest.mark.parametrize("pointer", [PointerState.gaussian(0.9), MIXTURE, BOOSTED],
@@ -290,8 +304,10 @@ BOOSTED = PointerState.gaussian_mixture([(0.6, -0.8, 0.7, 0.5), (0.4, 1.0, 1.3)]
 def test_row_readout_matches_table_row(pointer, n_th):
     dim = 20
     rho = displaced_thermal_state(alpha_from_quadratures(0.9, 0.4), n_th, dim)
-    joint = evolve_exact(rho, pointer, make_operator("hamiltonian", dim), 0.3)
-    assert joint.state_weights.size == (1 if n_th == 0.0 else dim)
+    nu = make_operator("hamiltonian", dim)
+    joint = evolve_exact(rho, pointer, nu, 0.3)
+    assert _rank(rho) == (1 if n_th == 0.0 else dim)
+    _assert_state_is_rotated(joint, rho, nu)
     phi_grid = default_grid(dim=dim, points=60).with_points([0.37])
     q_grid = QuadratureGrid.gauss_legendre(21.0, 200)
     node = int(np.flatnonzero(phi_grid.points == 0.37)[0])
@@ -318,6 +334,117 @@ def test_conditional_shift_leaves_table_unbuilt():
     assert "values" not in baseline.__dict__
 
 
+def test_one_eigh_per_observable_and_one_postselection_matrix_per_shift(monkeypatch):
+    """Three couplings of one state and one observable diagonalize nu once
+    and rho never; composing a coupling diagonalizes nothing; a closed-form
+    shift builds one postselection matrix for both of its couplings."""
+    import weakmeas.vonneumann as vn
+
+    dim, eps, phi = 24, 1e-3, 0.5
+    rho = displaced_thermal_state(alpha_from_quadratures(1.0, 0.2), 0.4, dim)
+    nu = make_operator("momentum_squared", dim)
+    calls = []
+    for name in ("eigh", "eigvalsh", "eig"):
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    evolved, _, start = (evolve_exact(rho, MIXTURE, nu, e) for e in (eps, eps / 2.0, 0.0))
+    assert calls == ["eigh"]
+    calls.clear()
+    evolve_further(start, eps)
+    assert calls == []
+    vals, vecs = nu.eigensystem
+    assert nu.eigensystem[1] is vecs is evolved.nu_vectors is start.nu_vectors
+    for array in (vals, vecs, evolved.state):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+    built = []
+    real = vn._postselection_matrix
+    monkeypatch.setattr(vn, "_postselection_matrix",
+                        lambda *args: built.append(args[2]) or real(*args))
+    kernel = gaussian_kernel(0.4)
+    phi_grid = default_grid(dim=dim, points=60).with_points([phi])
+    q_grid = QuadratureGrid.gauss_legendre(14.0, 100)
+    baseline, table = (joint_distribution(j, kernel, None, phi_grid, q_grid)
+                       for j in (start, evolved))
+    assert math.isfinite(conditional_pointer_shift(table, phi, baseline))
+    assert built == [phi]
+
+
+def _other_setups(dim, phi):
+    """A table builder, and tables at eps = 0 that each differ from its
+    default setup in one of grids, nu eigenvectors, state, pointer, phi
+    kernel and Q kernel."""
+    def table(e, rho=None, nu=None, pointer=MIXTURE, kernel_phi=None, kernel_q=None,
+              phi_points=60):
+        rho = rho or displaced_thermal_state(alpha_from_quadratures(1.0, 0.2), 0.4, dim)
+        nu = nu or make_operator("hamiltonian", dim)
+        phi_grid = default_grid(dim=dim, points=phi_points).with_points([phi])
+        return joint_distribution(evolve_exact(rho, pointer, nu, e),
+                                  kernel_phi or gaussian_kernel(0.4), kernel_q, phi_grid,
+                                  QuadratureGrid.gauss_legendre(14.0, 100))
+
+    other_pointer = PointerState.gaussian_mixture([(0.6, -0.8, 0.7), (0.4, 1.0, 1.4)])
+    return table, {
+        "grids": table(0.0, phi_points=61),
+        "nu eigenvectors": table(0.0, nu=make_operator("momentum_squared", dim)),
+        "state": table(0.0, rho=displaced_thermal_state(0.5, 0.4, dim)),
+        "pointer": table(0.0, pointer=other_pointer),
+        "phi kernel": table(0.0, kernel_phi=gaussian_kernel(0.5)),
+        "Q kernel": table(0.0, kernel_q=gaussian_kernel(0.3)),
+    }
+
+
+def test_shift_refuses_a_baseline_of_another_setup():
+    dim, eps, phi = 20, 1e-3, 0.5
+    table, others = _other_setups(dim, phi)
+    evolved = table(eps)
+    for what, baseline in others.items():
+        with pytest.raises(ValueError, match=f"differ in their {what}"):
+            conditional_pointer_shift(evolved, phi, baseline)
+    # custom Q kernels are the same kernel only as the same function
+    first, second = (custom_kernel(gaussian_kernel(0.3).func, 0.3) for _ in range(2))
+    with pytest.raises(ValueError, match="Q kernel"):
+        conditional_pointer_shift(table(eps, kernel_q=first), phi, table(0.0, kernel_q=second))
+    assert math.isfinite(conditional_pointer_shift(table(eps, kernel_q=first), phi,
+                                                   table(0.0, kernel_q=first)))
+
+
+@pytest.mark.parametrize("kernel_q", [None, SMOOTH_CUSTOM], ids=["closed_form", "custom_q"])
+def test_shift_refuses_vanishing_postselection(kernel_q):
+    dim = 12
+    rho = _fock(1, dim)  # psi_1(0) = 0: phi = 0 is never postselected
+    nu = make_operator("number", dim)
+    phi_grid = default_grid(dim=dim, points=40).with_points([0.0])
+    q_grid = QuadratureGrid.gauss_legendre(14.0, 100)
+    baseline, table = (
+        joint_distribution(evolve_exact(rho, PointerState.gaussian(), nu, e),
+                           None, kernel_q, phi_grid, q_grid) for e in (0.0, 1e-3))
+    with pytest.raises(ValueError, match="below 1e-12"):
+        conditional_pointer_shift(table, 0.0, baseline)
+
+
+def test_shift_accepts_a_rebuilt_or_composed_baseline():
+    """Rebuilt states, observables and equal Gaussian kernels are the same
+    setup, and the CLI's route, every coupling composed from one eps = 0
+    start, gives the same shift to the bit."""
+    dim, eps, phi = 20, 1e-3, 0.5
+    table, _ = _other_setups(dim, phi)  # rebuilds every input on each call
+    evolved = table(eps)
+    want = conditional_pointer_shift(evolved, phi, table(0.0))
+    rho = displaced_thermal_state(alpha_from_quadratures(1.0, 0.2), 0.4, dim)
+    start = evolve_exact(rho, MIXTURE, make_operator("hamiltonian", dim), 0.0)
+
+    def read(joint):
+        return joint_distribution(joint, gaussian_kernel(0.4), None, evolved.phi_grid,
+                                  evolved.Q_grid)
+
+    assert conditional_pointer_shift(read(evolve_further(start, eps)), phi, read(start)) == want
+
+
 def test_table_values_are_smeared_position_density():
     rho = displaced_thermal_state(alpha_from_quadratures(1.0, 0.2), 0.3, 24)
     joint = evolve_exact(rho, MIXTURE, make_operator("hamiltonian", 24), 0.2)
@@ -329,9 +456,6 @@ def test_table_values_are_smeared_position_density():
                 @ smear_matrix(kernel_q, q.points, q).T)
     assert np.array_equal(table.values, expected)
     assert table.values is table.values
-
-
-SMOOTH_CUSTOM = custom_kernel(gaussian_kernel(0.4).func, 0.4)
 
 
 @pytest.mark.parametrize("pointer", [PointerState.gaussian(0.9), MIXTURE, BOOSTED],
@@ -525,7 +649,8 @@ def test_position_density_matches_dense_operator_oracle():
     for kind in ("hamiltonian", "momentum_squared"):
         nu = make_operator(kind, dim)
         joint = evolve_exact(rho, pointer, nu, eps)
-        assert joint.state_weights.size == dim
+        assert _rank(rho) == dim
+        _assert_state_is_rotated(joint, rho, nu)
         reference = np.zeros((phis.size, Qs.size))
         for i, Q in enumerate(Qs):
             for w, c, s, k in zip(pointer.weights, pointer.centers, pointer.sigmas,
