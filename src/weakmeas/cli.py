@@ -422,19 +422,28 @@ def _simulate_qubit(opts) -> dict:
             "sigma_y_response_ratio": float(res.sigma_y_response_ratio[0])}
 
 
+# simulate flags that only the generic impulse reads, with their defaults: the
+# kerr and qubit meters measure n with no postselection kernel
+_GENERIC_ONLY = {"observable": "H", "eta": 1.0}
+
+
 def cmd_simulate(args) -> int:
     opts = _merge_config(args, {
-        "coupling": "generic", "epsilon": 1e-3, "observable": "H",
-        "alpha_r": 1.0, "alpha_i": 0.0, "nth": 0.0, "eta": 1.0, "fock": None,
+        "coupling": "generic", "epsilon": 1e-3, "observable": None,
+        "alpha_r": 1.0, "alpha_i": 0.0, "nth": 0.0, "eta": None, "fock": None,
         "postselect_q": 0.0, "pointer_sigma": 1.0, "pointer_center": 0.0,
         "pointer_boost": 0.0, "sx": 1.0, "sy": 0.0, "beta_r": 1.0,
         "beta_i": 0.0, "readout_phase": math.pi / 2, "dim": None})
     if opts["coupling"] == "generic":
+        opts.update({k: v for k, v in _GENERIC_ONLY.items() if opts[k] is None})
         results = _simulate_generic(opts)
-    elif opts["coupling"] == "kerr":
-        results = _simulate_kerr(opts)
     else:
-        results = _simulate_qubit(opts)
+        given = [f"--{k}" for k in _GENERIC_ONLY if opts.pop(k) is not None]
+        if given:
+            raise ValueError(f"--coupling {opts['coupling']} does not use "
+                             f"{' or '.join(given)}: it measures n with no "
+                             f"postselection kernel")
+        results = _simulate_kerr(opts) if opts["coupling"] == "kerr" else _simulate_qubit(opts)
     _emit({**opts, "dim": _dim(opts)}, results)
     return 0
 

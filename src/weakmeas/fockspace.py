@@ -168,8 +168,14 @@ class Observable:
         vecs.setflags(write=False)
         return vals, vecs
 
+    @cached_property
+    def hermiticity_defect(self) -> float:
+        """Largest |A - A^dag| entry, computed on first access and kept like
+        ``eigensystem``: the matrix is read-only."""
+        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+
     def is_hermitian(self, tol: float = HERM_TOL) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
+        return self.hermiticity_defect <= tol
 
 
 @lru_cache(maxsize=16)
@@ -412,6 +418,16 @@ def displaced_thermal_state(alpha: complex, n_th: float, dim: int,
     return DensityOperator(rho)
 
 
+@lru_cache(maxsize=8)
+def _recurrence_coefficients(dim: int) -> tuple[np.ndarray, tuple[float, ...]]:
+    """sqrt(2/(n+1)) and sqrt(n/(n+1)) for n = 1..dim-2, the coefficients of
+    ``wavefunction_table``'s recurrence; read-only and cached per dim."""
+    n = np.arange(1.0, max(dim - 1, 1))
+    a = np.sqrt(2.0 / (n + 1))
+    a.setflags(write=False)
+    return a, tuple(np.sqrt(n / (n + 1.0)).tolist())
+
+
 def wavefunction_table(dim: int, q) -> np.ndarray:
     """psi_n(q) for n = 0..dim-1 over an array of positions, shape (dim, len(q)).
 
@@ -419,6 +435,8 @@ def wavefunction_table(dim: int, q) -> np.ndarray:
     psi_{n+1} = sqrt(2/(n+1)) q psi_n - sqrt(n/(n+1)) psi_{n-1}, in range
     since |psi_n| <= pi^(-1/4); where e^{-q^2/2} underflows (|q| > 37) a column
     holds psi_n 2^-e, integer e < 0, moving 2^512 into e whenever it passes that.
+    The coefficients are kept per dim, and each row is written in place by
+    three ufunc calls in the order of the formula.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     out = np.empty((dim, q.size))
@@ -427,10 +445,16 @@ def wavefunction_table(dim: int, q) -> np.ndarray:
     out[0] = np.pi ** -0.25 * np.exp(-0.5 * q * q - e * math.log(2.0))
     if dim > 1:
         out[1] = math.sqrt(2.0) * q * out[0]
+    a, b = _recurrence_coefficients(dim)
+    aq = np.multiply.outer(a, q)  # sqrt(2/(n+1)) q, row n-1
+    first, second = np.empty(q.size), np.empty(q.size)
+    rows = list(out)
     for n in range(1, dim - 1):
-        out[n + 1] = math.sqrt(2.0 / (n + 1)) * q * out[n] - math.sqrt(n / (n + 1.0)) * out[n - 1]
-        if far and np.abs(out[n + 1]).max() > 2.0 ** 512:
-            big = np.abs(out[n + 1]) > 2.0 ** 512
+        np.multiply(aq[n - 1], rows[n], first)
+        np.multiply(rows[n - 1], b[n - 1], second)
+        np.subtract(first, second, rows[n + 1])
+        if far and np.abs(rows[n + 1]).max() > 2.0 ** 512:
+            big = np.abs(rows[n + 1]) > 2.0 ** 512
             out[:n + 2, big], e[big] = out[:n + 2, big] * 2.0 ** -512, e[big] + 512
     return np.ldexp(out, e) if far else out
 

@@ -16,7 +16,9 @@ Second-basis choices:
 * ``fock``     -- number states; <q|n> are the real Hermite functions.
 * ``momentum`` -- quadrature eigenstates conjugate to position, realized
   through the Fourier phase convention <n|p> = i^n psi_n(p),
-  <q|p> = exp(i p q)/sqrt(2 pi).
+  <q|p> = exp(i p q)/sqrt(2 pi).  The overlap is evaluated on one quadrant
+  of a grid pair symmetric about 0 and mirrored by conjugation, and
+  <p|rho|phi> is taken from the real table psi_n(p) in real products.
 * ``custom``   -- any orthonormal set given as Fock-space columns.
 
 Closed forms for the displaced-thermal family (``thermal_s`` and friends)
@@ -66,7 +68,9 @@ class BasisPair:
 
     ``phi_table`` holds psi_n(phi_i); ``xi_matrix`` holds <n|xi_j>;
     ``overlap`` holds <phi_i|xi_j>.  ``xi_weights`` is the integration
-    measure on the xi axis (counting measure for discrete bases).
+    measure on the xi axis (counting measure for discrete bases).  For the
+    momentum basis ``xi_table`` holds the real psi_n(p_j), so that
+    ``xi_matrix`` = i^n ``xi_table``; it is None for the other bases.
     """
 
     dim: int
@@ -77,6 +81,7 @@ class BasisPair:
     phi_table: np.ndarray
     xi_matrix: np.ndarray
     overlap: np.ndarray
+    xi_table: np.ndarray | None = None
 
     @classmethod
     def position_fock(cls, dim: int, phi_grid: QuadratureGrid | None = None) -> "BasisPair":
@@ -93,8 +98,8 @@ class BasisPair:
                           p_grid: QuadratureGrid | None = None) -> "BasisPair":
         """Position paired with momentum; ``p_grid`` defaults to a grid of as
         many nodes as ``phi_grid``.  The overlap is taken from cos and sin of
-        phi p, and passing the same grid object for both axes builds the
-        wavefunction table once."""
+        phi p (``_fourier_overlap``), and passing the same grid object for
+        both axes builds the wavefunction table once."""
         if phi_grid is None:
             phi_grid = default_grid(dim=dim)
         if p_grid is None:
@@ -104,7 +109,8 @@ class BasisPair:
         phases = (1j) ** np.arange(dim)
         xi_matrix = phases[:, None] * p_table
         return cls(dim, phi_grid, "momentum", p_grid.points, p_grid.weights,
-                   table, xi_matrix, _fourier_overlap(phi_grid.points, p_grid.points))
+                   table, xi_matrix, _fourier_overlap(phi_grid.points, p_grid.points),
+                   p_table)
 
     @classmethod
     def position_custom(cls, columns: np.ndarray,
@@ -132,15 +138,33 @@ class BasisPair:
         return phi_defect, xi_defect
 
 
+def _mirrored_half(x: np.ndarray) -> int:
+    """Leading entries of ``x`` to evaluate: ceil(n/2) when x[::-1] == -x
+    exactly (every Gauss-Legendre grid), else all n."""
+    return (x.size + 1) // 2 if np.array_equal(x[::-1], -x) else x.size
+
+
 def _fourier_overlap(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """<q_i|p_j> = exp(i p_j q_i)/sqrt(2 pi), from cos and sin written into the
     real and imaginary parts of one array; bit-identical to ``np.exp(1j * qp)``,
-    without its complex temporaries."""
-    qp = np.outer(q, p)
-    out = np.empty(qp.shape, dtype=complex)
-    np.cos(qp, out=out.real)
-    np.sin(qp, out=out.imag)
-    out /= math.sqrt(2.0 * math.pi)
+    without its complex temporaries.
+
+    On an axis symmetric about 0 only its leading half is evaluated: the
+    node -x gives the product -(q p) exactly, cos is even and sin odd, so the
+    mirrored half is the conjugate.  Two symmetric axes cost one quadrant.
+    """
+    n, m = q.size, p.size
+    hq, hp = _mirrored_half(q), _mirrored_half(p)
+    out = np.empty((n, m), dtype=complex)
+    block = out[:hq, :hp]
+    qp = np.outer(q[:hq], p[:hp])
+    np.cos(qp, out=block.real)
+    np.sin(qp, out=block.imag)
+    block /= math.sqrt(2.0 * math.pi)
+    if hp < m:  # column m-1-j is the conjugate of column j
+        np.conjugate(out[:hq, m // 2 - 1::-1], out=out[:hq, hp:])
+    if hq < n:  # row n-1-i is the conjugate of row i
+        np.conjugate(out[n // 2 - 1::-1], out=out[hq:])
     return out
 
 
@@ -157,17 +181,34 @@ class QuasiDistribution:
         return self.kind in ("T", "T_eta")
 
 
+_I_POWERS = np.array([1.0, -1j, -1.0, 1j])  # i^-n at n mod 4
+
+
 def _cross_kernel(rho: DensityOperator, basis: BasisPair, psi: np.ndarray) -> np.ndarray:
-    """<xi_j|rho|phi_i> as an (n_phi, n_xi) array; ``psi`` holds psi_n(phi_i)."""
+    """<xi_j|rho|phi_i> as an (n_phi, n_xi) array; ``psi`` holds psi_n(phi_i).
+
+    In the momentum basis <p_j|n> = i^-n psi_n(p_j) with psi_n real, so
+    R = rho^T diag(i^-n) P comes from one real product on the interleaved
+    columns of diag(i^-n) rho, and <p_j|rho|phi_i> = sum_m psi_m(phi_i) R[m, j]
+    from one more on those of R, C-ordered like the overlap.
+    """
     if rho.dim != basis.dim:
         raise ValueError(f"state dim {rho.dim} does not match basis dim {basis.dim}")
-    return (basis.xi_matrix.conj().T @ rho.matrix @ psi).T
+    if basis.xi_kind != "momentum":
+        return (basis.xi_matrix.conj().T @ rho.matrix @ psi).T
+    phased = _I_POWERS[np.arange(basis.dim) % 4, None] * rho.matrix
+    r_t = (basis.xi_table.T @ phased.view(float)).view(complex)
+    return (psi.T @ np.ascontiguousarray(r_t.T).view(float)).view(complex)
 
 
 def s_distribution(rho: DensityOperator, basis: BasisPair) -> QuasiDistribution:
-    """Complex quasi-distribution <phi|xi><xi|rho|phi> on the basis grids."""
-    return QuasiDistribution(basis.overlap * _cross_kernel(rho, basis, basis.phi_table),
-                             basis, "S")
+    """Complex quasi-distribution <phi|xi><xi|rho|phi> on the basis grids.
+
+    The overlap is multiplied into the fresh cross kernel in place, so the
+    grid costs one n_phi x n_xi array, not two.
+    """
+    cross = _cross_kernel(rho, basis, basis.phi_table)
+    return QuasiDistribution(np.multiply(basis.overlap, cross, out=cross), basis, "S")
 
 
 def t_distribution(dist: QuasiDistribution) -> QuasiDistribution:

@@ -215,8 +215,10 @@ def test_simulate_kerr_zero_coupling(capsys):
 
 def test_simulate_zero_coupling_reports_alike_on_every_coupling(capsys):
     for coupling in ("generic", "kerr", "qubit"):
+        # the kerr and qubit meters measure n and take no --observable
+        observable = ["--observable", "n"] if coupling == "generic" else []
         code, out, _ = run_cli(capsys, "simulate", "--coupling", coupling,
-                               "--epsilon", "0", "--observable", "n", "--alpha-r", "1",
+                               "--epsilon", "0", *observable, "--alpha-r", "1",
                                "--postselect-q", "-1")
         assert code == 0
         res = last_json(out)["results"]
@@ -224,6 +226,40 @@ def test_simulate_zero_coupling_reports_alike_on_every_coupling(capsys):
         for key in ("shift_over_epsilon", "sigma_x_slope", "sigma_y_slope"):
             assert res.get(key, 0.0) == 0.0
         assert res.get("extracted_n_w") is None
+
+
+@pytest.mark.parametrize("coupling", ["kerr", "qubit"])
+def test_simulate_discrete_meters_record_no_unused_flags(capsys, coupling):
+    code, out, _ = run_cli(capsys, "simulate", "--coupling", coupling, "--alpha-r", "0.5",
+                           "--postselect-q", "0.5", "--dim", "16")
+    assert code == 0
+    params = last_json(out)["params"]
+    assert "eta" not in params and "observable" not in params
+    assert params["coupling"] == coupling
+
+
+@pytest.mark.parametrize("coupling", ["kerr", "qubit"])
+@pytest.mark.parametrize("flags, named", [
+    (["--eta", "0.5"], "--eta"),
+    (["--observable", "n"], "--observable"),
+    (["--eta", "1", "--observable", "H"], "--observable or --eta"),
+])
+def test_simulate_discrete_meters_refuse_unused_flags(capsys, coupling, flags, named):
+    code, out, err = run_cli(capsys, "simulate", "--coupling", coupling, *flags,
+                             "--dim", "16")
+    assert code == 2 and out == ""
+    assert f"--coupling {coupling} does not use {named}" in err
+
+
+def test_simulate_discrete_meter_refuses_unused_config_key(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"coupling": "qubit", "eta": 0.8}))
+    code, _, err = run_cli(capsys, "--config", str(cfg), "simulate", "--dim", "16")
+    assert code == 2 and "does not use --eta" in err
+    cfg.write_text(json.dumps({"coupling": "generic", "eta": 0.8, "observable": "n"}))
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "simulate", "--dim", "16")
+    params = last_json(out)["params"]
+    assert code == 0 and params["eta"] == 0.8 and params["observable"] == "n"
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -391,3 +391,28 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def _wavefunction_table_loop(dim, q):
+    # the recurrence as first written: coefficients and temporaries per row
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    out = np.empty((dim, q.size))
+    e = np.minimum(0.0, np.ceil((690.0 - 0.5 * q * q) / math.log(2.0))).astype(int)
+    far = bool(e.any())
+    out[0] = np.pi ** -0.25 * np.exp(-0.5 * q * q - e * math.log(2.0))
+    if dim > 1:
+        out[1] = math.sqrt(2.0) * q * out[0]
+    for n in range(1, dim - 1):
+        out[n + 1] = math.sqrt(2.0 / (n + 1)) * q * out[n] - math.sqrt(n / (n + 1.0)) * out[n - 1]
+        if far and np.abs(out[n + 1]).max() > 2.0 ** 512:
+            big = np.abs(out[n + 1]) > 2.0 ** 512
+            out[:n + 2, big], e[big] = out[:n + 2, big] * 2.0 ** -512, e[big] + 512
+    return np.ldexp(out, e) if far else out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 40, 200])
+def test_wavefunction_table_matches_row_loop_bit_for_bit(dim, rng):
+    q = np.concatenate([[-45.0, 60.0, -37.5, 38.0, 0.0], rng.uniform(-15.0, 15.0, 60)])
+    for points in (q, q[:1], q[1:2], q[5:6], q[5:]):
+        assert np.array_equal(wavefunction_table(dim, points),
+                              _wavefunction_table_loop(dim, points))

@@ -26,6 +26,7 @@ from weakmeas import (
     negativity_scan,
     p2_closed_profile,
     position_density,
+    QuasiDistribution,
     s_distribution,
     s_representation,
     sigma_from_efficiency,
@@ -36,6 +37,7 @@ from weakmeas import (
     weak_value_from_distribution,
 )
 from weakmeas.povm import smear_matrix
+from weakmeas.quasiprob import _fourier_overlap
 from conftest import random_density, random_hermitian
 
 
@@ -380,3 +382,77 @@ def test_negativity_scan_matches_weighted_mass(rng):
             mass = np.abs(dist.values) * np.outer(basis.phi_grid.weights, basis.xi_weights)
             expected = mass[dist.values < 0].sum() / mass.sum()
             assert abs(negativity_scan(dist).negative_mass_fraction - expected) < 1e-14
+
+
+def _full_fourier_overlap(q, p):
+    # every entry evaluated, as the overlap was built before the mirroring
+    qp = np.outer(q, p)
+    out = np.empty(qp.shape, dtype=complex)
+    np.cos(qp, out=out.real)
+    np.sin(qp, out=out.imag)
+    out /= math.sqrt(2.0 * math.pi)
+    return out
+
+
+def test_fourier_overlap_matches_full_evaluation():
+    even = default_grid(dim=30, points=240).points
+    odd = default_grid(dim=30, points=171, half_width=9.0).points
+    shifted = even + 0.25  # no longer symmetric about 0
+    extra = default_grid(dim=30, points=120).with_points([0.37, -1.2]).points
+    rows = np.array([-0.8, 0.1, 1.7])  # asymmetric rows, as of a postselection rule
+    axes = (even, odd, shifted, extra, rows, np.array([0.0]), np.array([-2.0, 2.0]))
+    for q in axes:
+        for p in axes:
+            assert np.array_equal(_fourier_overlap(q, p), _full_fourier_overlap(q, p))
+
+
+def test_fourier_overlap_evaluates_one_quadrant_of_symmetric_axes(monkeypatch):
+    evaluated = []
+    real_cos = np.cos
+
+    def counted(x, *args, **kwargs):
+        evaluated.append(np.size(x))
+        return real_cos(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", counted)
+    for n, m in ((400, 400), (201, 200), (171, 33)):
+        q = default_grid(dim=30, points=n).points
+        p = default_grid(dim=30, points=m, half_width=9.0).points
+        evaluated.clear()
+        _fourier_overlap(q, p)
+        assert sum(evaluated) <= -(-n // 2) * -(-m // 2)
+    # one asymmetric axis is evaluated in full, the symmetric one in half
+    evaluated.clear()
+    _fourier_overlap(q + 0.25, p)
+    assert sum(evaluated) == n * -(-m // 2)
+
+
+@pytest.mark.parametrize("points", [200, 201, 400])
+def test_momentum_s_matches_complex_product(rng, points):
+    dim = 40
+    alpha = alpha_from_quadratures(1.7, 0.9)
+    grid = default_grid(dim=dim, alpha=alpha, n_th=0.4, points=points)
+    other = default_grid(dim=dim, points=points - 31, half_width=9.0)
+    kernel = gaussian_kernel(sigma_from_efficiency(0.8))
+    for rho in (displaced_thermal_state(alpha, 0.4, dim), random_density(dim, rng)):
+        for p_grid in (grid, other):
+            basis = BasisPair.position_momentum(dim, grid, p_grid)
+            cross = (basis.xi_matrix.conj().T @ rho.matrix @ basis.phi_table).T
+            ref = basis.overlap * cross
+            dist = s_distribution(rho, basis)
+            assert dist.values.flags.c_contiguous
+            bound = 2e-15 * np.max(np.abs(ref))
+            assert np.max(np.abs(dist.values - ref)) <= bound
+            smeared = effective_distribution(dist, kernel).values
+            smeared_ref = effective_distribution(
+                QuasiDistribution(ref, basis, "S"), kernel).values
+            assert np.max(np.abs(smeared - smeared_ref)) <= 2e-15 * np.max(np.abs(smeared_ref))
+
+
+def test_fock_and_custom_s_keep_the_complex_product(rng):
+    dim = 24
+    rho = random_density(dim, rng)
+    columns = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    for basis in (BasisPair.position_fock(dim), BasisPair.position_custom(columns)):
+        cross = (basis.xi_matrix.conj().T @ rho.matrix @ basis.phi_table).T
+        assert np.array_equal(s_distribution(rho, basis).values, basis.overlap * cross)

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from weakmeas import (
     DensityOperator,
+    Observable,
     PointerState,
     UnsupportedPointerError,
     alpha_from_quadratures,
@@ -702,3 +705,35 @@ def test_non_finite_coupling_refused(epsilon):
     for call in calls:
         with pytest.raises(ValueError, match="epsilon must be finite"):
             call()
+
+
+def test_hermiticity_is_checked_once_per_observable(monkeypatch):
+    calls = []
+    real = Observable.hermiticity_defect.func
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(Observable, "hermiticity_defect")
+    monkeypatch.setattr(Observable, "hermiticity_defect", prop)
+    dim = 12
+    nu = make_operator("hamiltonian", dim)
+    rho = displaced_thermal_state(0.4, 0.2, dim)
+    pointer = PointerState.gaussian(1.0)
+    for eps in (1e-3, 5e-4, 0.0):
+        evolve_exact(rho, pointer, nu, eps)
+    assert nu.is_hermitian() and calls == [nu]
+    other = make_operator("number", dim)
+    evolve_exact(rho, pointer, other, 1e-3)
+    assert calls == [nu, other]
+
+
+def test_non_hermitian_observable_refused():
+    ladder = make_operator("annihilation", 6)
+    assert ladder.hermiticity_defect == pytest.approx(math.sqrt(5.0))
+    with pytest.raises(ValueError, match="measured observable must be Hermitian"):
+        evolve_exact(coherent_state(0.3, 6), PointerState.gaussian(1.0), ladder, 1e-3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ladder.hermiticity_defect = 0.0
