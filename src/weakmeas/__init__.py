@@ -66,6 +66,7 @@ from .vonneumann import (
     evolve_further,
     joint_distribution,
     phi_marginal,
+    pointer_shift,
     simulate_cross_kerr,
     simulate_qubit_pointer,
 )

@@ -165,7 +165,12 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _dim(opts) -> int:
-    return opts["dim"] if opts.get("dim") else fockspace.default_dim()
+    dim = opts.get("dim")
+    if dim is None:
+        return fockspace.default_dim()
+    if dim < 2:
+        raise ValueError(f"dim must be >= 2, got {dim}")
+    return dim
 
 
 def _sigma(opts) -> float:
@@ -253,14 +258,19 @@ def _figure_cells(figure_id: str, opts: dict, steps: int | None):
 
 
 def cmd_figure(args) -> int:
-    defaults = {"output": None, "format": "csv", "steps": None,
-                "alpha_r": None, "alpha_i": None, "nth": None,
-                "eta": None, "dim": None}
-    for axis in ("alpha_r", "alpha_i", "nth", "eta"):
-        defaults[f"{axis}_min"] = None
-        defaults[f"{axis}_max"] = None
-    opts = _merge_config(args, defaults)
+    all_axes = ("alpha_r", "alpha_i", "nth", "eta")
+    opts = _merge_config(args, {"output": None, "format": "csv", "steps": None, "dim": None,
+                                **{f"{ax}{end}": None for ax in all_axes
+                                   for end in ("", "_min", "_max")}})
     figure_id = args.figure_id
+    spec = FIGURES[figure_id]
+    # closed forms need no truncation; a swept axis takes a range, a pinned one a value
+    unused = ["dim", *spec["axes"], *(f"{ax}_{end}" for ax in spec["fixed"]
+                                      for end in ("min", "max"))]
+    given = [f"--{k.replace('_', '-')}" for k in unused if opts[k] is not None]
+    if given:
+        raise ValueError(f"figure {figure_id} does not use {' or '.join(given)}: it sweeps "
+                         f"{' and '.join(spec['axes'])} and pins {' and '.join(spec['fixed'])}")
     (ax1, ax2), rows = _figure_cells(figure_id, opts, opts["steps"])
     path = opts["output"] or f"{figure_id}.{opts['format']}"
     if opts["format"] == "json":
@@ -360,11 +370,9 @@ def _simulate_generic(opts) -> dict:
     nu = fockspace.make_operator(_OPERATOR_KINDS[opts["observable"]], dim)
     sigma_eta = _sigma(opts)
     kernel_phi = povm.gaussian_kernel(sigma_eta)
-    phi_grid = fockspace.default_grid(dim=dim).with_points([q])
     eps = opts["epsilon"]
     if opts.get("fock") is not None:
-        reference = float(weakvalues.weak_value(nu, rho,
-                                                kernel_phi, q).real)
+        reference = float(weakvalues.weak_value(nu, rho, kernel_phi, q).real)
     else:
         reference = _PROFILE_BUILDERS[opts["observable"]](
             opts["alpha_r"], opts["alpha_i"], opts["nth"], sigma_eta).real_value(q)
@@ -375,16 +383,9 @@ def _simulate_generic(opts) -> dict:
 
     # the one eigh of nu and the one U^dag rho U; every coupling composes on them
     start = vonneumann.evolve_exact(rho, pointer, nu, 0.0)
-
-    def table(e, q_grid=None):
-        joint = vonneumann.evolve_further(start, e)
-        return vonneumann.joint_distribution(joint, kernel_phi, None, phi_grid, q_grid)
-
-    full = table(eps)  # its default Q grid covers the largest pointer translation
-    baseline = vonneumann.joint_distribution(start, kernel_phi, None, phi_grid, full.Q_grid)
-    shift = vonneumann.conditional_pointer_shift(full, q, baseline)
-    shift_half = vonneumann.conditional_pointer_shift(table(eps / 2.0, full.Q_grid),
-                                                      q, baseline)
+    shift, shift_half = (
+        vonneumann.pointer_shift(vonneumann.evolve_further(start, e), kernel_phi, q)
+        for e in (eps, eps / 2.0))
     dev, dev_half = abs(shift - reference), abs(shift_half - reference)
     return {"shift_over_epsilon": shift,
             "reference_re_weak_value": reference,

@@ -188,12 +188,25 @@ def leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes x (Golub-Welsch) and weights w e^{x^2} =
-    1/sum_k psi_k(x)^2, finite at any n (hermgauss nodes are NaN from n = 741)."""
-    x = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1.0, n) / 2.0), -1))
-    w = 1.0 / np.sum(wavefunction_table(n, x) ** 2, axis=0)
+def _position_eigensystem(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues x and the rows V^T of q = V diag(x) V^T, the truncated
+    position matrix: the Jacobi matrix whose eigenvalues are ``hermite_rule``'s
+    nodes.  Read-only and cached per dim: the one eigensolver call per dim of
+    displacements and Gauss-Hermite rules alike."""
+    x, v = np.linalg.eigh(np.diag(np.sqrt(np.arange(1.0, dim) / 2.0), -1))
+    vt = np.ascontiguousarray(v.T)
     x.setflags(write=False)
+    vt.setflags(write=False)
+    return x, vt
+
+
+@lru_cache(maxsize=8)
+def hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes x (Golub-Welsch: the eigenvalues of the truncated
+    position matrix, ``_position_eigensystem``) and weights w e^{x^2} =
+    1/sum_k psi_k(x)^2, finite at any n (hermgauss nodes are NaN from n = 741)."""
+    x = _position_eigensystem(n)[0]
+    w = 1.0 / np.sum(wavefunction_table(n, x) ** 2, axis=0)
     w.setflags(write=False)
     return x, w
 
@@ -321,26 +334,12 @@ def make_operator(kind: str, dim: int) -> Observable:
     return Observable(_banded(dim, {0: n + 0.5}), 0.5, lambda q, p: (q * q + p * p) / 2.0)
 
 
-def _check_truncation(load: float, dim: int, strict: bool) -> None:
+def _check_truncation(load: float, dim: int) -> None:
     # adequacy heuristic: mean occupation well below the truncation level
     if load > dim / 4.0:
-        msg = (f"|alpha|^2 + n_th = {load:.3g} exceeds dim/4 = {dim / 4:.3g}; "
-               f"truncation at dim={dim} is likely inadequate")
-        if strict:
-            raise ValueError(msg)
-        warnings.warn(msg, TruncationWarning, stacklevel=3)
-
-
-@lru_cache(maxsize=8)
-def _position_eigensystem(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues x and the rows V^T of q = V diag(x) V^T, the truncated
-    position matrix: the Jacobi matrix whose eigenvalues are ``hermite_rule``'s
-    nodes.  Read-only and cached per dim."""
-    x, v = np.linalg.eigh(np.diag(np.sqrt(np.arange(1.0, dim) / 2.0), -1))
-    vt = np.ascontiguousarray(v.T)
-    x.setflags(write=False)
-    vt.setflags(write=False)
-    return x, vt
+        warnings.warn(f"|alpha|^2 + n_th = {load:.3g} exceeds dim/4 = {dim / 4:.3g}; "
+                      f"truncation at dim={dim} is likely inadequate",
+                      TruncationWarning, stacklevel=3)
 
 
 def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
@@ -367,12 +366,12 @@ def _require_finite_alpha(alpha: complex) -> None:
         raise ValueError(f"alpha must be finite, got {alpha}")
 
 
-def coherent_state(alpha: complex, dim: int, strict: bool = False) -> DensityOperator:
+def coherent_state(alpha: complex, dim: int) -> DensityOperator:
     """Projector onto the truncated, renormalized coherent state |alpha>."""
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     _require_finite_alpha(alpha)
-    _check_truncation(abs(alpha) ** 2, dim, strict)
+    _check_truncation(abs(alpha) ** 2, dim)
     coeff = np.zeros(dim, dtype=complex)
     coeff[0] = 1.0
     for n in range(dim - 1):
@@ -399,8 +398,7 @@ def thermal_state(n_th: float, dim: int) -> DensityOperator:
     return DensityOperator(np.diag(_thermal_weights(n_th, dim)).astype(complex))
 
 
-def displaced_thermal_state(alpha: complex, n_th: float, dim: int,
-                            strict: bool = False) -> DensityOperator:
+def displaced_thermal_state(alpha: complex, n_th: float, dim: int) -> DensityOperator:
     """Thermal state conjugated by the displacement operator.
 
     Reduces to ``coherent_state(alpha)`` at n_th = 0.  The quadrature
@@ -410,7 +408,7 @@ def displaced_thermal_state(alpha: complex, n_th: float, dim: int,
         raise ValueError(f"dim must be >= 2, got {dim}")
     _require_finite_alpha(alpha)
     root_p = np.sqrt(_thermal_weights(n_th, dim))  # refuses a negative or non-finite n_th
-    _check_truncation(abs(alpha) ** 2 + n_th, dim, strict)
+    _check_truncation(abs(alpha) ** 2 + n_th, dim)
     m = displacement_operator(alpha, dim) * root_p  # rho = D diag(p) D^dag = M M^dag
     rho = m @ m.conj().T
     rho = 0.5 * (rho + rho.conj().T)

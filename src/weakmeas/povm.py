@@ -115,26 +115,24 @@ class ValidationReport:
         return self.max_normalization_defect <= tol and self.max_bias_defect <= tol
 
 
-def validate(kernel: DetectorKernel, grid: QuadratureGrid,
-             probe_margin: float | None = None) -> ValidationReport:
+def validate(kernel: DetectorKernel, grid: QuadratureGrid) -> ValidationReport:
     """Measure normalization and bias defects of a kernel on a grid.
 
-    Probes phi' values kept ``probe_margin`` away from the grid edge
-    (default 8 kernel widths, or a quarter span for custom kernels) so
-    that the reported defects reflect the kernel, not missing support.
-    Defects are reported, never raised.
+    Probes phi' values kept a margin away from the grid edge (8 kernel
+    widths, or a quarter span for custom kernels of unknown width) so that
+    the reported defects reflect the kernel, not missing support.  Defects
+    are reported, never raised; a grid too narrow to probe is refused.
     """
     if kernel.is_projective:
         return ValidationReport(0.0, 0.0)
-    if probe_margin is None:
-        if math.isfinite(kernel.width_sigma_eta) and kernel.width_sigma_eta > 0:
-            probe_margin = 8.0 * kernel.width_sigma_eta
-        else:
-            probe_margin = 0.25 * grid.half_width
-    lo, hi = grid.points[0] + probe_margin, grid.points[-1] - probe_margin
+    if math.isfinite(kernel.width_sigma_eta) and kernel.width_sigma_eta > 0:
+        margin = 8.0 * kernel.width_sigma_eta
+    else:
+        margin = 0.25 * grid.half_width
+    lo, hi = grid.points[0] + margin, grid.points[-1] - margin
     probes = grid.points[(grid.points >= lo) & (grid.points <= hi)]
     if probes.size == 0:
-        raise ValueError("grid too narrow for the requested probe margin")
+        raise ValueError("grid too narrow for the probe margin")
     # rows: outcomes phi (integration axis), columns: probed phi'
     k = kernel(grid.points[:, None], probes[None, :])
     norms = grid.weights @ k

@@ -14,14 +14,12 @@ nu eigenvectors, a real matrix product of n_phi dim(dim+1)/2 n_Q
 multiply-adds whatever the rank of the state or the number of pointer
 components (``position_density``).  A ``joint_distribution`` table builds
 that density, and its smears, by quadrature on its readout grids on first
-access to ``values``.  ``conditional_mean`` and
-``conditional_pointer_shift`` never build it: with a projective or Gaussian
-Q kernel they are closed forms in the Gaussian pair overlaps of the pointer,
-taken over the exact postselection rule (components dim^2 exponentials, no
-grid at all for a projective or Gaussian phi kernel), and a shift builds its
-one postselection matrix C for both couplings, since C does not depend on
-eps; only a custom Q kernel, which may be biased, is read from one
-postselection row on the Q grid (``JointOutcomeTable.row``).
+access to ``values``.  ``pointer_shift`` reads the shift from the evolved
+state alone: a closed form in the Gaussian pair overlaps of the pointer over
+the exact postselection rule, with no table and no grid for a projective or
+Gaussian phi kernel.  ``conditional_mean`` and ``conditional_pointer_shift``
+are its table adapters; only a custom Q kernel, which may be biased, is read
+from one postselection row on the Q grid (``JointOutcomeTable.row``).
 
 Pointers may be arbitrary Gaussian mixtures.  The first-order readout law
 (conditional pointer mean shifted by eps * Re nu_w) requires only that the
@@ -80,6 +78,7 @@ __all__ = [
     "position_density",
     "joint_distribution",
     "phi_marginal",
+    "pointer_shift",
     "conditional_mean",
     "conditional_pointer_shift",
     "simulate_cross_kerr",
@@ -97,13 +96,12 @@ class UnsupportedPointerError(TypeError):
 
 @dataclass(frozen=True)
 class PointerState:
-    """Auxiliary readout system in one of three representations.
+    """Auxiliary readout system in one of two representations.
 
     * ``gaussian_mixture`` -- weights/centers/sigmas/boosts arrays; component
       wavefunctions (2 pi s^2)^(-1/4) exp(-(Q-Q0)^2/(4 s^2)) exp(i k Q), with
       sigma the standard deviation of the position density.  Nonzero boosts
       k violate the zero-current condition and exist to exercise the check.
-    * ``fock_mode``        -- a second bosonic mode given as a DensityOperator.
     * ``qubit``            -- equatorial Bloch state (1 + s_x sx + s_y sy)/2.
     """
 
@@ -112,7 +110,6 @@ class PointerState:
     centers: np.ndarray | None = None
     sigmas: np.ndarray | None = None
     boosts: np.ndarray | None = None
-    rho: DensityOperator | None = None
     s_x: float = 0.0
     s_y: float = 0.0
 
@@ -137,10 +134,6 @@ class PointerState:
         if np.any(s <= 0):
             raise ValueError("component widths must be positive")
         return cls("gaussian_mixture", weights=w, centers=q0, sigmas=s, boosts=k)
-
-    @classmethod
-    def fock_mode(cls, rho: DensityOperator) -> "PointerState":
-        return cls("fock_mode", rho=rho)
 
     @classmethod
     def qubit(cls, s_x: float, s_y: float) -> "PointerState":
@@ -175,8 +168,7 @@ class CurrentReport:
     location: float  # grid position; NaN for qubit pointers
 
 
-def check_zero_current(pointer: PointerState,
-                       grid: QuadratureGrid | None = None) -> CurrentReport:
+def check_zero_current(pointer: PointerState) -> CurrentReport:
     """Current density j(Q) = Re <Q|P rho_a|Q> of the pointer state.
 
     Real Gaussian mixtures carry none; a boost k makes j = k * density.  For
@@ -186,30 +178,13 @@ def check_zero_current(pointer: PointerState,
     if pointer.kind == "qubit":
         # sigma_z rho_b + rho_b sigma_z = sigma_z for equatorial rho_b: <+-|.|+-> = 0
         return CurrentReport(0.0, math.nan)
-
-    if grid is None:
-        if pointer.kind == "gaussian_mixture":
-            span = float(np.max(np.abs(pointer.centers) + 10.0 * pointer.sigmas))
-            grid = QuadratureGrid.gauss_legendre(span, 400)
-        else:
-            grid = default_grid(dim=pointer.rho.dim)
-    Q = grid.points
-
-    if pointer.kind == "gaussian_mixture":
-        amp = pointer.amplitudes(Q)[:, 0, :]
-        x = Q[None, :] - pointer.centers[:, None]
-        s2 = (pointer.sigmas ** 2)[:, None]
-        damp = (-x / (2.0 * s2) + 1j * pointer.boosts[:, None]) * amp
-        j = np.sum(pointer.weights[:, None]
-                   * (-1j * damp * amp.conj()).real, axis=0)
-    else:  # fock_mode
-        dim = pointer.rho.dim
-        table = wavefunction_table(dim, Q)
-        # psi_n' = sqrt(2n) psi_{n-1} - q psi_n
-        dtable = -Q[None, :] * table
-        dtable[1:] += np.sqrt(2.0 * np.arange(1, dim))[:, None] * table[:-1]
-        rho_psi = pointer.rho.matrix @ table
-        j = (-1j * np.einsum("ni,ni->i", dtable, rho_psi)).real
+    span = float(np.max(np.abs(pointer.centers) + 10.0 * pointer.sigmas))
+    Q = QuadratureGrid.gauss_legendre(span, 400).points
+    amp = pointer.amplitudes(Q)[:, 0, :]
+    x = Q[None, :] - pointer.centers[:, None]
+    s2 = (pointer.sigmas ** 2)[:, None]
+    damp = (-x / (2.0 * s2) + 1j * pointer.boosts[:, None]) * amp
+    j = np.sum(pointer.weights[:, None] * (-1j * damp * amp.conj()).real, axis=0)
     i = int(np.argmax(np.abs(j)))
     return CurrentReport(float(abs(j[i])), float(Q[i]))
 
@@ -435,13 +410,13 @@ def _refuse_vanishing(probability: float, phi: float) -> float:
     return probability
 
 
-def _exact_terms(table: JointOutcomeTable, index: int):
-    """C at the phi node ``index`` by the exact postselection rule, the
-    pointer-overlap exponents x_c[j, l] = -D^2/(8 sigma_c^2) - i k_c D with
-    D = s_j - s_l, shape (c, dim, dim), and M0 = sum_c w_c e^{x_c}."""
-    joint, kernel = table.joint, table.kernel_phi
-    grid = None if kernel.kind == "gaussian" else table.phi_grid  # None: Hermite, exact
-    coef = _postselection_matrix(joint, kernel, table.phi_grid.points[index], grid)
+def _exact_terms(joint: JointState, kernel_phi: DetectorKernel, phi: float,
+                 grid: QuadratureGrid | None):
+    """C at phi by the exact postselection rule (``grid`` for a custom phi
+    kernel only), the pointer-overlap exponents x_c[j, l] = -D^2/(8 sigma_c^2)
+    - i k_c D with D = s_j - s_l, shape (c, dim, dim), and M0 = sum_c w_c e^{x_c}."""
+    coef = _postselection_matrix(joint, kernel_phi, phi,
+                                 grid if kernel_phi.kind == "custom" else None)
     pointer, shifts = joint.pointer, joint.shifts
     gap = shifts[:, None] - shifts[None, :]
     x = -gap * gap / (8.0 * pointer.sigmas[:, None, None] ** 2)
@@ -456,20 +431,45 @@ def _ratio(coef: np.ndarray, m: np.ndarray, m0: np.ndarray, phi: float) -> float
     return float(np.sum(coef * m).real) / _refuse_vanishing(float(np.sum(coef * m0).real), phi)
 
 
+def pointer_shift(joint: JointState, kernel_phi: DetectorKernel, phi: float,
+                  grid: QuadratureGrid | None = None) -> float:
+    """[E_eps(Q|phi) - E_0(Q|phi)] / eps, the pointer estimate of Re nu_w(phi),
+    read from the evolved state alone.  A projective or Gaussian Q readout is
+    normalized and unbiased, so E(Q|phi) is the pointer mean; E_0 = sum_c w_c c_c.
+
+    With C the postselection matrix by the exact postselection rule (``grid``,
+    default ``default_grid(dim)``, serves a custom phi kernel only) and s_j = eps nu_j,
+    the shift is one contraction, with no subtraction of two means: since
+    sum_c w_c (c_c - E_0) = 0,
+
+        shift = Re sum C o N / Re sum C o M0,
+        N  = sum_c w_c [(c_c - E_0) expm1(x_c)/eps + (nu_j + nu_l)/2 e^{x_c}],
+        M0 = sum_c w_c e^{x_c},
+        x_c[j, l] = -(s_j - s_l)^2/(8 sigma_c^2) - i k_c (s_j - s_l):
+
+    components dim^2 exponentials, no Q grid.  C does not depend on eps, and
+    Re sum C, the uncoupled postselection probability, is refused below
+    1e-12, as is eps = 0.
+    """
+    eps = joint.epsilon
+    if eps == 0.0:
+        raise ValueError("shift extraction needs a nonzero coupling")
+    coef, x, m0 = _exact_terms(joint, kernel_phi, phi, grid)
+    _refuse_vanishing(float(np.sum(coef).real), phi)  # the uncoupled probability
+    pointer, nu = joint.pointer, joint.nu_eigvals
+    mean = np.average(pointer.centers, weights=pointer.weights)
+    n = (np.tensordot(pointer.weights * (pointer.centers - mean), np.expm1(x), 1) / eps
+         + 0.5 * (nu[:, None] + nu[None, :]) * m0)
+    return _ratio(coef, n, m0, phi)
+
+
 def conditional_mean(table: JointOutcomeTable, phi: float) -> float:
     """E(Q | phi) at a grid node of the phi axis.
 
-    A projective or Gaussian Q kernel is normalized and unbiased, so it
-    leaves E(Q | phi) that of the pointer position, a closed form in the
-    Gaussian pair overlaps: with C the postselection matrix by the exact
-    postselection rule and s_j = eps nu_j,
-
-        E(Q | phi) = Re sum C o M1 / Re sum C o M0,
-        M0 = sum_c w_c e^{x_c},  M1 = sum_c w_c (c_c + (s_j + s_l)/2) e^{x_c},
-
-        x_c[j, l] = -(s_j - s_l)^2/(8 sigma_c^2) - i k_c (s_j - s_l):
-
-    components dim^2 exponentials, no Q grid.  A custom Q kernel may be
+    With a projective or Gaussian Q kernel it is the pointer mean, with C, M0
+    and x_c as in ``pointer_shift`` (C on the table's phi grid for a custom
+    phi kernel):  E(Q | phi) = Re sum C o M1 / Re sum C o M0,
+    M1 = sum_c w_c (c_c + (s_j + s_l)/2) e^{x_c}.  A custom Q kernel may be
     biased, so its mean is the Q-grid integral of ``table.row``.
     """
     index = _node(table, phi)
@@ -477,7 +477,8 @@ def conditional_mean(table: JointOutcomeTable, phi: float) -> float:
         row = table.row(index)
         den = _refuse_vanishing(float(table.Q_grid.weights @ row), phi)
         return float(table.Q_grid.weights @ (table.Q_grid.points * row) / den)
-    coef, x, m0 = _exact_terms(table, index)
+    coef, x, m0 = _exact_terms(table.joint, table.kernel_phi,
+                               table.phi_grid.points[index], table.phi_grid)
     pointer, shifts = table.joint.pointer, table.joint.shifts
     m1 = (np.tensordot(pointer.weights * pointer.centers, np.exp(x), 1)
           + 0.5 * (shifts[:, None] + shifts[None, :]) * m0)
@@ -515,38 +516,23 @@ def _require_same_setup(table: JointOutcomeTable, baseline: JointOutcomeTable) -
 
 def conditional_pointer_shift(table: JointOutcomeTable, phi: float,
                               baseline: JointOutcomeTable) -> float:
-    """[E_eps(Q|phi) - E_0(Q|phi)] / eps, the pointer estimate of Re nu_w(phi).
+    """``pointer_shift`` of the table's state at a node of its phi axis.
 
     ``baseline`` must be the eps = 0 table of the same state and pointer, on
     identical grids and kernels; a baseline whose grids, nu eigenvectors,
-    state, pointer or kernels differ from the table's is refused.  With
-    projective or Gaussian Q kernels E_0(Q|phi) is the pointer mean
-    E_0 = sum_c w_c c_c, and the shift is one contraction, with no
-    subtraction of two means: since sum_c w_c (c_c - E_0) = 0,
-
-        shift = Re sum C o N / Re sum C o M0,
-        N = sum_c w_c [(c_c - E_0) expm1(x_c)/eps + (nu_j + nu_l)/2 e^{x_c}]
-
-    (C, M0 and x_c as in ``conditional_mean``).  C does not depend on eps, so
-    it is built once, and the baseline's postselection probability is
-    Re sum C (M0 = 1 at eps = 0).  With a custom Q kernel the shift is the
-    difference of the two ``conditional_mean``.
+    state, pointer or kernels differ from the table's is refused.  With a
+    custom Q kernel the shift is the difference of the two
+    ``conditional_mean``; otherwise it needs no baseline.
     """
     if baseline.epsilon != 0.0:
         raise ValueError("baseline table must be computed at eps = 0")
     if table.epsilon == 0.0:
         raise ValueError("shift extraction needs a nonzero coupling")
     _require_same_setup(table, baseline)
-    eps = table.epsilon
-    if table.kernel_Q.kind == "custom":
-        return (conditional_mean(table, phi) - conditional_mean(baseline, phi)) / eps
-    coef, x, m0 = _exact_terms(table, _node(table, phi))
-    _refuse_vanishing(float(np.sum(coef).real), phi)  # the baseline's probability
-    pointer, nu = table.joint.pointer, table.joint.nu_eigvals
-    mean = np.average(pointer.centers, weights=pointer.weights)
-    n = (np.tensordot(pointer.weights * (pointer.centers - mean), np.expm1(x), 1) / eps
-         + 0.5 * (nu[:, None] + nu[None, :]) * m0)
-    return _ratio(coef, n, m0, phi)
+    if table.kernel_Q.kind != "custom":
+        return pointer_shift(table.joint, table.kernel_phi,
+                             table.phi_grid.points[_node(table, phi)], table.phi_grid)
+    return (conditional_mean(table, phi) - conditional_mean(baseline, phi)) / table.epsilon
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,25 @@ def test_simulate_generic_mixed_state_imperfect_postselection(capsys):
     assert res["richardson_ratio"] == pytest.approx(4.0, abs=0.05)
 
 
+def test_simulate_generic_reads_shift_from_state_alone(capsys, monkeypatch):
+    """The generic route builds no joint table and no phi grid with an
+    inserted node, and its Richardson ratio still reads 4."""
+    from weakmeas import QuadratureGrid, vonneumann
+
+    calls = []
+    for owner, name in ((vonneumann, "joint_distribution"), (QuadratureGrid, "with_points")):
+        def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    code, out, _ = run_cli(capsys, "simulate", "--coupling", "generic",
+                           "--observable", "H", "--alpha-r", "1", "--nth", "0.5",
+                           "--eta", "0.9", "--epsilon", "1e-3", "--postselect-q", "-0.5",
+                           "--dim", "30")
+    assert code == 0 and calls == []
+    assert last_json(out)["results"]["richardson_ratio"] == pytest.approx(4.0, abs=0.05)
+
+
 def test_simulate_qubit_fock_state(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--coupling", "qubit", "--fock", "2",
                            "--epsilon", "0.05", "--postselect-q", "0.3",
@@ -311,6 +330,49 @@ def test_dim_env_override(capsys, monkeypatch):
     _, out, _ = run_cli(capsys, "weak-value", "--observable", "H",
                         "--alpha-r", "1", "--q", "0")
     assert last_json(out)["params"]["dim"] == 24
+
+
+@pytest.mark.parametrize("argv", [
+    ["weak-value"], ["simulate"], ["simulate", "--coupling", "kerr"],
+    ["distribution", "--points", "20"],
+], ids=["weak-value", "simulate", "kerr", "distribution"])
+def test_dim_below_two_refused_by_flag_and_config(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # distribution writes into the cwd
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dim": 0}))
+    for prefix, flags in (([], ["--dim", "0"]), (["--config", str(cfg)], [])):
+        code, out, err = run_cli(capsys, *prefix, *argv, *flags)
+        assert code == 2 and out == ""
+        assert "dim must be >= 2, got 0" in err
+
+
+@pytest.mark.parametrize("figure_id, flags, named", [
+    ("h_ideal", ["--dim", "30"], "--dim"),
+    ("p2_eta_nth", ["--eta", "0.7", "--nth", "0.5"], "--eta or --nth"),
+    ("h_noisy", ["--alpha-i", "0.5"], "--alpha-i"),
+    ("h_noisy", ["--eta-min", "0.6"], "--eta-min"),
+    ("h_eta_nth", ["--alpha-r-max", "2"], "--alpha-r-max"),
+])
+def test_figure_refuses_flags_it_does_not_read(capsys, tmp_path, figure_id, flags, named):
+    path = tmp_path / "fig.csv"
+    code, out, err = run_cli(capsys, "figure", figure_id, "--output", str(path), *flags)
+    assert code == 2 and out == "" and not path.exists()
+    assert f"figure {figure_id} does not use {named}:" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): float(value)
+                               for flag, value in zip(flags[::2], flags[1::2])}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "figure", figure_id,
+                             "--output", str(path))
+    assert code == 2 and f"does not use {named}:" in err
+
+
+def test_figure_reads_swept_ranges_and_pinned_values(capsys, tmp_path):
+    # a swept axis takes a range and a pinned one a value
+    for argv in (["h_noisy", "--alpha-r-max", "2"], ["p2_eta_nth", "--nth-max", "0.5"],
+                 ["h_noisy", "--eta", "0.8"], ["h_eta_nth", "--alpha-r", "1.5"]):
+        code, _, _ = run_cli(capsys, "figure", *argv, "--steps", "3",
+                             "--output", str(tmp_path / "fig.csv"))
+        assert code == 0
 
 
 @pytest.mark.filterwarnings("ignore:.*truncation")

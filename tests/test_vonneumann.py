@@ -26,6 +26,7 @@ from weakmeas import (
     make_operator,
     n_closed_profile,
     phi_marginal,
+    pointer_shift,
     position_density,
     sigma_from_efficiency,
     simulate_cross_kerr,
@@ -64,13 +65,6 @@ def test_boosted_gaussian_current_equals_boost_times_density():
     assert report.max_violation == pytest.approx(k * density_at_max, rel=1e-12)
     assert report.max_violation == pytest.approx(k / math.sqrt(2 * math.pi), rel=1e-2)
     assert abs(report.location) < 0.1
-
-
-def test_fock_mode_pointer_current():
-    thermal = displaced_thermal_state(0.0, 0.4, 30)
-    assert check_zero_current(PointerState.fock_mode(thermal)).max_violation < 1e-10
-    moving = displaced_thermal_state(alpha_from_quadratures(0.0, 0.8), 0.0, 30)
-    assert check_zero_current(PointerState.fock_mode(moving)).max_violation > 1e-3
 
 
 def test_qubit_bloch_vector_domain():
@@ -495,6 +489,43 @@ def test_exact_readout_matches_fine_table_route(pointer, n_th, kernel_phi):
             assert abs(conditional_mean(table, phi) - want) <= 1e-13 * max(1.0, abs(want))
         want = (table_mean(fine[0]) - table_mean(fine[1])) / eps
         assert abs(conditional_pointer_shift(exact[0], phi, exact[1]) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("pointer", [PointerState.gaussian(0.9), MIXTURE, BOOSTED],
+                         ids=["single", "mixture", "boosted"])
+@pytest.mark.parametrize("n_th", [0.0, 0.8], ids=["rank1", "full_rank"])
+@pytest.mark.parametrize("kernel_phi", [None, gaussian_kernel(0.4), SMOOTH_CUSTOM],
+                         ids=["phi_projective", "phi_gaussian", "phi_custom"])
+def test_pointer_shift_is_the_table_shift(pointer, n_th, kernel_phi):
+    """The shift read from the evolved state alone is the table route's to
+    the bit; the grid enters for a custom phi kernel only."""
+    dim, eps, phi = 20, 0.05, 0.37
+    rho = displaced_thermal_state(alpha_from_quadratures(0.9, 0.4), n_th, dim)
+    start = evolve_exact(rho, pointer, make_operator("hamiltonian", dim), 0.0)
+    joint = evolve_further(start, eps)
+    phi_grid = default_grid(dim=dim, points=80).with_points([phi])
+    baseline, table = (joint_distribution(j, kernel_phi, None, phi_grid,
+                                          QuadratureGrid.gauss_legendre(16.0, 100))
+                       for j in (start, joint))
+    want = conditional_pointer_shift(table, phi, baseline)
+    kernel = kernel_phi or gaussian_kernel(0.0)
+    assert pointer_shift(joint, kernel, phi, phi_grid) == want
+    if kernel.kind != "custom":
+        assert pointer_shift(joint, kernel, phi) == want
+    else:
+        assert pointer_shift(joint, kernel, phi) != want  # on the default grid
+
+
+def test_pointer_shift_refusals():
+    dim = 12
+    joint = evolve_exact(_fock(1, dim), PointerState.gaussian(), make_operator("number", dim),
+                         1e-3)
+    kernel = gaussian_kernel(0.0)
+    with pytest.raises(ValueError, match="nonzero coupling"):
+        pointer_shift(evolve_further(joint, -1e-3), kernel, 0.5)
+    with pytest.raises(ValueError, match="below 1e-12"):
+        pointer_shift(joint, kernel, 0.0)  # psi_1(0) = 0
+    assert pointer_shift(joint, kernel, 0.5) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_shift_has_no_cancellation_floor():
