@@ -303,6 +303,8 @@ def cmd_distribution(args) -> int:
                                 "alpha_i": 0.0, "nth": 0.0, "eta": 1.0,
                                 "points": 200, "output": "distribution.csv",
                                 "dim": None})
+    if opts["points"] < 1:
+        raise ValueError(f"--points must be >= 1, got {opts['points']}")
     dim = _dim(opts)
     alpha = fockspace.alpha_from_quadratures(opts["alpha_r"], opts["alpha_i"])
     rho = fockspace.displaced_thermal_state(alpha, opts["nth"], dim)
@@ -387,10 +389,12 @@ def _simulate_generic(opts) -> dict:
         vonneumann.pointer_shift(vonneumann.evolve_further(start, e), kernel_phi, q)
         for e in (eps, eps / 2.0))
     dev, dev_half = abs(shift - reference), abs(shift_half - reference)
+    # a deviation within round-off of the shift has no order to measure
+    floor = 64.0 * np.finfo(float).eps * max(1.0, abs(reference))
     return {"shift_over_epsilon": shift,
             "reference_re_weak_value": reference,
             "relative_deviation": dev / max(1.0, abs(reference)),
-            "richardson_ratio": dev / dev_half if dev_half > 0 else math.inf}
+            "richardson_ratio": dev / dev_half if dev_half > floor else math.nan}
 
 
 def _simulate_kerr(opts) -> dict:

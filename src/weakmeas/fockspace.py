@@ -174,8 +174,8 @@ class Observable:
         ``eigensystem``: the matrix is read-only."""
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
-    def is_hermitian(self, tol: float = HERM_TOL) -> bool:
-        return self.hermiticity_defect <= tol
+    def is_hermitian(self) -> bool:
+        return self.hermiticity_defect <= HERM_TOL
 
 
 @lru_cache(maxsize=16)
@@ -258,14 +258,13 @@ class QuadratureGrid:
 
     def with_points(self, extra) -> "QuadratureGrid":
         """Insert zero-weight evaluation nodes (means and densities at exact
-        locations; the quadrature itself is unchanged)."""
-        extra = np.atleast_1d(np.asarray(extra, dtype=float))
+        locations; the quadrature itself is unchanged).  An extra point that is
+        already a node keeps that node and its weight."""
+        extra = np.setdiff1d(np.asarray(extra, dtype=float), self.points)
         pts = np.concatenate([self.points, extra])
         wts = np.concatenate([self.weights, np.zeros(extra.size)])
         order = np.argsort(pts)
-        pts, wts = pts[order], wts[order]
-        keep = np.concatenate([[True], np.diff(pts) > 0])
-        return QuadratureGrid(pts[keep], wts[keep])
+        return QuadratureGrid(pts[order], wts[order])
 
     def integrate(self, values: np.ndarray):
         return np.sum(self.weights * values, axis=-1)
@@ -475,10 +474,14 @@ def position_kernel(rho: DensityOperator, q: float, q2: float | None = None) -> 
     return complex(left @ rho.matrix @ right)
 
 
+def _psi_form(a: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """psi(x)^T a psi(x) per column of a real table, for real a (README numerical notes)."""
+    return np.einsum("ni,ni->i", np.ascontiguousarray(a) @ table, table)
+
+
 def position_density(rho: DensityOperator, q) -> np.ndarray:
-    """Diagonal <q|rho|q> over an array of positions (real, nonnegative)."""
-    table = wavefunction_table(rho.dim, q)
-    return np.einsum("ni,nm,mi->i", table, rho.matrix, table).real
+    """Diagonal <q|rho|q> = psi(q)^T Re(rho) psi(q) over an array of positions."""
+    return _psi_form(rho.matrix.real, wavefunction_table(rho.dim, q))
 
 
 def glauber_p_displaced_thermal(alpha: complex, n_th: float):

@@ -25,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fockspace import (DensityOperator, QuadratureGrid, default_grid, hermite_rule,
-                        position_density)
+from .fockspace import (DensityOperator, QuadratureGrid, _psi_form, default_grid, hermite_rule,
+                        wavefunction_table)
 
 __all__ = [
     "DetectorKernel",
@@ -111,8 +111,8 @@ class ValidationReport:
     max_normalization_defect: float
     max_bias_defect: float
 
-    def passed(self, tol: float = 1e-8) -> bool:
-        return self.max_normalization_defect <= tol and self.max_bias_defect <= tol
+    def passed(self) -> bool:
+        return self.max_normalization_defect <= 1e-8 and self.max_bias_defect <= 1e-8
 
 
 def validate(kernel: DetectorKernel, grid: QuadratureGrid) -> ValidationReport:
@@ -170,6 +170,16 @@ def postselection_rule(kernel: DetectorKernel, phi, dim: int,
     return nodes, kernel(phi[:, None], nodes) * weights
 
 
+def _postselected_forms(kernel: DetectorKernel, phi, dim: int, matrices,
+                        grid: QuadratureGrid | None = None) -> np.ndarray:
+    """sum_j w[i, j] psi(x[i, j])^T A psi(x[i, j]) per real A in ``matrices`` and
+    per phi_i, by ``postselection_rule`` and one ``wavefunction_table`` for all A."""
+    nodes, weights = postselection_rule(kernel, phi, dim, grid)
+    table = wavefunction_table(dim, nodes.ravel())
+    return np.array([np.sum(weights * _psi_form(a, table).reshape(nodes.shape), axis=1)
+                     for a in matrices])
+
+
 def effective_marginal(rho: DensityOperator, kernel: DetectorKernel,
                        grid: QuadratureGrid):
     """Outcome density of an imperfect position measurement.
@@ -179,8 +189,7 @@ def effective_marginal(rho: DensityOperator, kernel: DetectorKernel,
     projective kind.
     """
     def density(q):
-        nodes, weights = postselection_rule(kernel, q, rho.dim, grid)
-        out = np.sum(weights * position_density(rho, nodes.ravel()).reshape(nodes.shape), axis=1)
+        (out,) = _postselected_forms(kernel, q, rho.dim, [rho.matrix.real], grid)
         return out if out.size > 1 else float(out[0])
 
     return density

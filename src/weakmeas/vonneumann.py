@@ -36,14 +36,15 @@ photon-number product (cross-Kerr, homodyne readout of a pointer
 quadrature) and a two-level atom coupled through number x sigma_z
 (readout of the equatorial Bloch components).  Both couplings are
 eps n x diag(g), with g = (0, 1, ..., d_b - 1) for the mode and g = (+1, -1)
-for the atom, so one contraction gives the pointer state conditioned on the
-postselected position q, exact in eps:
+for the atom, so a readout R of the pointer given the postselected position
+q is the postselected form of ``weak_value``, exact in eps:
 
-    rho_b[m, m'] sum_nn' psi_n(q) rho[n, n'] psi_n'(q) e^{-i eps (n g_m - n' g_m')}.
+    Tr(rho_b(q) R) = psi(q)^T Re(rho o K_R) psi(q) / psi(q)^T Re(rho o K_1) psi(q),
+    K_R = E (rho_b o R^T) E^dag,  E[n, m] = e^{-i eps n g_m}.
 
-At eps = 0 the two stay uncorrelated and the readout R reads Tr(rho_b R).
-In both, the response slope is proportional to Re n_w; the proportionality
-constant is measured against a Fock-state calibration run, not assumed.
+At eps = 0 the two stay uncorrelated and the readout reads Tr(rho_b R).  In
+both, the response slope is proportional to Re n_w; the proportionality
+constant is measured on the one-photon state, not assumed.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ from .fockspace import (
     make_operator,
     wavefunction_table,
 )
-from .povm import DetectorKernel, delta_kernel, postselection_rule, smear_matrix
+from .povm import (DetectorKernel, _postselected_forms, delta_kernel, postselection_rule,
+                   smear_matrix)
 from .weakvalues import weak_value
 
 __all__ = [
@@ -356,10 +358,10 @@ class JointOutcomeTable:
         return float(self.phi_grid.weights @ self.values @ self.Q_grid.weights)
 
 
-def _default_pointer_grid(joint: JointState, points: int = 500) -> QuadratureGrid:
+def _default_pointer_grid(joint: JointState) -> QuadratureGrid:
     span = float(np.max(np.abs(joint.pointer.centers) + 10.0 * joint.pointer.sigmas)
                  + np.max(np.abs(joint.shifts), initial=0.0))
-    return QuadratureGrid.gauss_legendre(span, points)
+    return QuadratureGrid.gauss_legendre(span, 500)
 
 
 def joint_distribution(joint: JointState,
@@ -538,23 +540,20 @@ def conditional_pointer_shift(table: JointOutcomeTable, phi: float,
 # ---------------------------------------------------------------------------
 # discrete pointers: eps * n x diag(g), conditioned on a postselected position
 
-def _pointer_given_q(rho, g, rho_pointer, epsilon, q):
-    """Normalized pointer states given each postselection q after
-    exp(-i eps n x diag(g)), exact in eps; shape (n_q, len(g), len(g))."""
-    phases = np.exp(-1j * epsilon * np.outer(np.arange(rho.dim), g))
-    left = wavefunction_table(rho.dim, q).T[:, :, None] * phases  # (n_q, dim, len(g))
-    states = rho_pointer * (np.swapaxes(left, 1, 2) @ (rho.matrix @ left.conj()))
-    norm = np.trace(states, axis1=1, axis2=2).real
+def _meter_readouts(rho: DensityOperator, g, rho_pointer: np.ndarray, epsilon: float,
+                    readouts, q: np.ndarray):
+    """Tr(rho_b(q) R)/Tr(rho_b(q)) per readout R and per q for the pointer
+    state rho_b(q) given q, exact in eps, and the kernels K_R: the postselected
+    forms over Re(rho o K_R), K_R = E (rho_b o R^T) E^dag with E[n, m] =
+    e^{-i eps n g_m}, divided by that at R = 1 (the last kernel)."""
+    e = np.exp(-1j * epsilon * np.outer(np.arange(rho.dim), g))
+    kernels = [e @ (rho_pointer * r.T) @ e.conj().T for r in (*readouts, np.eye(len(g)))]
+    *forms, norm = _postselected_forms(delta_kernel(), q, rho.dim,
+                                       [(rho.matrix * k).real for k in kernels])
     if np.any(norm < 1e-14):
         raise ValueError(f"postselection probability below 1e-14 at "
                          f"q={q[norm < 1e-14].tolist()}")
-    return states / norm[:, None, None]
-
-
-def _qubit_rho(pointer: PointerState) -> np.ndarray:
-    """(1 + s_x sigma_x + s_y sigma_y)/2 of an equatorial qubit pointer."""
-    off = (pointer.s_x - 1j * pointer.s_y) / 2.0
-    return np.array([[0.5, off], [np.conj(off), 0.5]])
+    return np.array(forms) / norm, kernels
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +591,6 @@ def simulate_cross_kerr(rho_a_mode: DensityOperator, rho_b_pointer: DensityOpera
     theta = float(readout_quadrature_phase)
     quad = (ladder * np.exp(-1j * theta) + ladder.conj().T * np.exp(1j * theta)) / math.sqrt(2.0)
 
-    def mean(states):
-        return np.einsum("imk,km->i", states, quad).real
-
     base = np.full(q.size, np.trace(rho_b_pointer.matrix @ quad).real)
     ref = weak_value(make_operator("number", rho_a_mode.dim), rho_a_mode,
                      delta_kernel(), q).real
@@ -602,18 +598,14 @@ def simulate_cross_kerr(rho_a_mode: DensityOperator, rho_b_pointer: DensityOpera
         # zero coupling leaves the modes uncorrelated: no shift, no estimate
         zeros, nans = np.zeros(q.size), np.full(q.size, np.nan)
         return CrossKerrResult(q, 0.0, theta, base, base.copy(), zeros, nans, nans, ref)
-    g = np.arange(db)
-    evolved = mean(_pointer_given_q(rho_a_mode, g, rho_b_pointer.matrix, epsilon, q))
+    (evolved,), kernels = _meter_readouts(rho_a_mode, np.arange(db), rho_b_pointer.matrix,
+                                          epsilon, [quad], q)
     shift = (evolved - base) / epsilon
 
     # calibration: with mode a in the one-photon state the weak value is 1 at
-    # every postselection and the pointer decorrelates, so the response is
-    # postselection-independent; one evaluation away from the psi_1 node at
-    # q = 0 fixes the shift-to-weak-value constant
-    one = np.zeros((rho_a_mode.dim, rho_a_mode.dim), dtype=complex)
-    one[1, 1] = 1.0
-    cal_mean = mean(_pointer_given_q(DensityOperator(one), g, rho_b_pointer.matrix,
-                                     epsilon, np.array([1.0])))[0]
+    # every postselection, and rho o K_R keeps only K_R[1, 1], so the pointer
+    # is the same at every q and its mean is Re K_quad[1, 1] / Re K_1[1, 1]
+    cal_mean = kernels[0][1, 1].real / kernels[1][1, 1].real
     cal_value = float(cal_mean - base[0]) / epsilon
     if abs(cal_value) < 1e-12:
         raise ValueError("calibration response vanishes; pick a readout phase with "
@@ -662,9 +654,9 @@ def simulate_qubit_pointer(rho_s: DensityOperator, qubit: PointerState,
         sx_slope = sy_slope = np.zeros(q.size)
         n_est = np.full(q.size, np.nan)
     else:
-        r01 = _pointer_given_q(rho_s, np.array([1.0, -1.0]), _qubit_rho(qubit),
-                               epsilon, q)[:, 0, 1]
-        sx, sy = 2.0 * r01.real, -2.0 * r01.imag
+        pauli = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]])
+        rho_b = (np.eye(2) + qubit.s_x * pauli[0] + qubit.s_y * pauli[1]) / 2.0
+        (sx, sy), _ = _meter_readouts(rho_s, [1.0, -1.0], rho_b, epsilon, pauli, q)
         sx_slope = (sx - qubit.s_x) / epsilon
         sy_slope = (sy - qubit.s_y) / epsilon
         angle = np.arctan2(sy, sx) - math.atan2(qubit.s_y, qubit.s_x)

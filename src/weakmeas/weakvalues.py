@@ -44,9 +44,8 @@ from .fockspace import (
     Observable,
     QuadratureGrid,
     leggauss,
-    wavefunction_table,
 )
-from .povm import DetectorKernel, postselection_rule
+from .povm import DetectorKernel, _postselected_forms
 
 __all__ = [
     "UndefinedWeakValueError",
@@ -79,11 +78,6 @@ def marginal_density(q, alpha_r: float, n_th: float, sigma_eta: float):
     return np.exp(-((q - alpha_r) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
-def _psi_form(a: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """psi(x)^T a psi(x) per column of a real table, for real a (README numerical notes)."""
-    return np.einsum("ni,ni->i", np.ascontiguousarray(a) @ table, table)
-
-
 def weak_value(nu: Observable, rho: DensityOperator, kernel: DetectorKernel,
                phi, grid: QuadratureGrid | None = None):
     """Weak value by the trace formula, for any state and Hermitian observable.
@@ -97,17 +91,14 @@ def weak_value(nu: Observable, rho: DensityOperator, kernel: DetectorKernel,
     if nu.dim != rho.dim:
         raise ValueError(f"observable dim {nu.dim} != state dim {rho.dim}")
     scalar = np.isscalar(phi)
-    nodes, smear = postselection_rule(kernel, phi, rho.dim, grid)
-    table = wavefunction_table(rho.dim, nodes.ravel())
     nu_rho = nu.matrix @ rho.matrix
-    f_num = _psi_form(nu_rho.real, table) + 1j * _psi_form(nu_rho.imag, table)
-    num = np.sum(smear * f_num.reshape(nodes.shape), axis=1)
-    den = np.sum(smear * _psi_form(rho.matrix.real, table).reshape(nodes.shape), axis=1)
+    re, im, den = _postselected_forms(kernel, phi, rho.dim,
+                                      [nu_rho.real, nu_rho.imag, rho.matrix.real], grid)
     if np.any(den < 1e-14):
         bad = np.atleast_1d(phi)[den < 1e-14]
         raise UndefinedWeakValueError(
             f"postselection probability below 1e-14 at phi={bad.tolist()}")
-    out = num / den
+    out = (re + 1j * im) / den
     return complex(out[0]) if scalar else out
 
 
@@ -263,14 +254,14 @@ def _closed_form(profile: WeakValueProfile) -> float | None:
     return None
 
 
-def _quadrature(profile: WeakValueProfile, intervals: tuple, nodes: int = 200) -> float:
+def _quadrature(profile: WeakValueProfile, intervals: tuple) -> float:
     """Integrate the postselection density over the negative region with
     Gauss-Legendre panels; infinite tails are clipped 12 sigma out, where
     the remaining mass is below 1e-30."""
     mean = profile.alpha_r
     sd = math.sqrt(profile.n_th + 0.5 + profile.sigma_eta ** 2)
     lo_cut, hi_cut = mean - 12.0 * sd, mean + 12.0 * sd
-    x, w = leggauss(nodes)
+    x, w = leggauss(200)
     total = 0.0
     for lo, hi in intervals:
         lo, hi = max(lo, lo_cut), min(hi, hi_cut)

@@ -216,6 +216,18 @@ def test_simulate_generic_reads_shift_from_state_alone(capsys, monkeypatch):
     assert last_json(out)["results"]["richardson_ratio"] == pytest.approx(4.0, abs=0.05)
 
 
+def test_simulate_generic_exact_shift_has_no_richardson_ratio(capsys):
+    """A number state is an eigenstate of H, so the shift is exact and both
+    deviations are round-off: the ratio of the two is reported as null."""
+    code, out, _ = run_cli(capsys, "simulate", "--coupling", "generic",
+                           "--observable", "H", "--fock", "3", "--eta", "0.8",
+                           "--postselect-q", "-0.7")
+    assert code == 0
+    res = last_json(out)["results"]
+    assert res["relative_deviation"] < 1e-14
+    assert res["richardson_ratio"] is None
+
+
 def test_simulate_qubit_fock_state(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--coupling", "qubit", "--fock", "2",
                            "--epsilon", "0.05", "--postselect-q", "0.3",
@@ -344,6 +356,18 @@ def test_dim_below_two_refused_by_flag_and_config(capsys, tmp_path, monkeypatch,
         code, out, err = run_cli(capsys, *prefix, *argv, *flags)
         assert code == 2 and out == ""
         assert "dim must be >= 2, got 0" in err
+
+
+def test_distribution_points_below_one_refused_by_flag_and_config(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"points": -3}))
+    path = tmp_path / "dist.csv"
+    for prefix, flags, value in (([], ["--points", "0"], 0),
+                                 (["--config", str(cfg)], [], -3)):
+        code, out, err = run_cli(capsys, *prefix, "distribution", "--output", str(path),
+                                 *flags)
+        assert code == 2 and out == "" and not path.exists()
+        assert f"--points must be >= 1, got {value}" in err
 
 
 @pytest.mark.parametrize("figure_id, flags, named", [

@@ -282,10 +282,14 @@ def test_thermal_state_rejects_negative_occupation():
 
 
 def test_grid_with_points_injects_zero_weight_nodes():
-    grid = QuadratureGrid.gauss_legendre(5.0, 50)
-    extended = grid.with_points([0.0, 1.25])
-    assert {0.0, 1.25} <= set(extended.points)
-    assert extended.integrate(np.ones(extended.size)) == pytest.approx(10.0, abs=1e-12)
+    # at an odd node count 0.0 is already a node: it keeps its weight, with no
+    # copy (an unstable sort kept the zero-weight copy at 401 nodes)
+    for n in (50, 51, 401):
+        grid = QuadratureGrid.gauss_legendre(5.0, n)
+        extended = grid.with_points([0.0, 1.25])
+        assert {0.0, 1.25} <= set(extended.points)
+        assert extended.size == n + (2 if n % 2 == 0 else 1)
+        assert extended.integrate(np.ones(extended.size)) == pytest.approx(10.0, abs=1e-12)
 
 
 def test_wavefunction_table_shape_and_tail():

@@ -637,6 +637,25 @@ def test_discrete_pointers_match_dense_two_mode_oracle():
         assert bloch.sigma_y[i] == pytest.approx(np.trace(cond @ sy).real, abs=1e-12)
 
 
+def test_kerr_calibration_matches_dense_two_mode_oracle():
+    """The calibration is the pointer's response to mode a in |1>, which is the
+    same at every postselection: the dense two-mode state gives it at two q."""
+    rho = displaced_thermal_state(alpha_from_quadratures(0.8, 0.5), 0.4, 14)
+    eps, theta, qs = 0.3, 0.7, [-1.0, 1.7]
+    rho_b = displaced_thermal_state(alpha_from_quadratures(1.0, 0.3), 0.2, 12)
+    b = np.diag(np.sqrt(np.arange(1, 12)), k=1)
+    x_theta = (b * np.exp(-1j * theta) + b.T * np.exp(1j * theta)) / math.sqrt(2)
+    base = np.trace(rho_b.matrix @ x_theta).real
+    res = simulate_cross_kerr(rho, rho_b, eps, theta, qs)
+    one = _fock(1, 14).matrix
+    for i, q in enumerate(qs):
+        cond = _two_mode_conditional(one, rho_b.matrix, np.arange(12), eps, [q])
+        expected = (np.trace(cond @ x_theta).real - base) / eps
+        assert res.calibration[i] == pytest.approx(expected, abs=1e-12)
+    assert res.extracted_n_w == pytest.approx(res.shift_over_epsilon / res.calibration,
+                                              rel=1e-15)
+
+
 def test_qubit_zero_coupling_leaves_bloch_vector():
     res = simulate_qubit_pointer(_fock(2, 16), PointerState.qubit(0.8, 0.1), 0.0, [0.3])
     assert res.sigma_x[0] == pytest.approx(0.8, abs=1e-12)
