@@ -60,7 +60,6 @@ from .vonneumann import (
     QubitPointerResult,
     UnsupportedPointerError,
     check_zero_current,
-    conditional_mean,
     conditional_pointer_shift,
     evolve_exact,
     evolve_further,

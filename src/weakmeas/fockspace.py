@@ -223,9 +223,11 @@ class QuadratureGrid:
         wts = np.array(self.weights, dtype=float)
         if pts.ndim != 1 or pts.shape != wts.shape:
             raise ValueError("points and weights must be matching 1-D arrays")
-        if np.any(np.diff(pts) <= 0):
+        if not (np.isfinite(pts).all() and np.isfinite(wts).all()):
+            raise ValueError("grid points and weights must be finite")
+        if not (np.diff(pts) > 0).all():
             raise ValueError("grid points must be strictly increasing")
-        if np.any(wts < 0):
+        if (wts < 0).any():
             raise ValueError("quadrature weights must be nonnegative")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
@@ -394,6 +396,8 @@ def _thermal_weights(n_th: float, dim: int) -> np.ndarray:
 def thermal_state(n_th: float, dim: int) -> DensityOperator:
     """Thermal state with mean occupation n_th; geometric Fock weights
     n_th^n / (1 + n_th)^(n+1), renormalized after truncation."""
+    if dim < 2:
+        raise ValueError(f"dim must be >= 2, got {dim}")
     return DensityOperator(np.diag(_thermal_weights(n_th, dim)).astype(complex))
 
 

@@ -190,7 +190,7 @@ def effective_marginal(rho: DensityOperator, kernel: DetectorKernel,
     """
     def density(q):
         (out,) = _postselected_forms(kernel, q, rho.dim, [rho.matrix.real], grid)
-        return out if out.size > 1 else float(out[0])
+        return float(out[0]) if np.ndim(q) == 0 else out
 
     return density
 

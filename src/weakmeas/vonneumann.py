@@ -14,12 +14,11 @@ nu eigenvectors, a real matrix product of n_phi dim(dim+1)/2 n_Q
 multiply-adds whatever the rank of the state or the number of pointer
 components (``position_density``).  A ``joint_distribution`` table builds
 that density, and its smears, by quadrature on its readout grids on first
-access to ``values``.  ``pointer_shift`` reads the shift from the evolved
-state alone: a closed form in the Gaussian pair overlaps of the pointer over
-the exact postselection rule, with no table and no grid for a projective or
-Gaussian phi kernel.  ``conditional_mean`` and ``conditional_pointer_shift``
-are its table adapters; only a custom Q kernel, which may be biased, is read
-from one postselection row on the Q grid (``JointOutcomeTable.row``).
+access to ``values``.  ``pointer_shift`` is the one pointer readout: it reads
+the shift from the evolved state alone, a closed form in the Gaussian pair
+overlaps of the pointer over the exact postselection rule, with no table and
+no grid for a projective or Gaussian phi kernel.  ``conditional_pointer_shift``
+only looks up a node of a table's phi axis in front of it.
 
 Pointers may be arbitrary Gaussian mixtures.  The first-order readout law
 (conditional pointer mean shifted by eps * Re nu_w) requires only that the
@@ -81,7 +80,6 @@ __all__ = [
     "joint_distribution",
     "phi_marginal",
     "pointer_shift",
-    "conditional_mean",
     "conditional_pointer_shift",
     "simulate_cross_kerr",
     "simulate_qubit_pointer",
@@ -301,10 +299,9 @@ class JointOutcomeTable:
 
     Holds the evolved state, both detector kernels and both grids.  The
     (n_phi, n_Q) ``values`` are built on first access, by ``position_density``
-    and then ``smear_matrix`` on each smeared axis, and kept.  ``row`` reads
-    one postselection row without them.  Both are the grid route: the
-    conditional means of ``conditional_mean`` need neither unless the Q
-    kernel is custom, and tests hold the closed forms against them.
+    and then ``smear_matrix`` on each smeared axis, and kept.  They are the
+    grid route: ``conditional_pointer_shift`` never builds them, and tests
+    hold the closed-form shift against them.
     """
 
     joint: JointState
@@ -327,32 +324,6 @@ class JointOutcomeTable:
             density = density @ smear_matrix(self.kernel_Q, self.Q_grid.points,
                                              self.Q_grid).T
         return density
-
-    def row(self, index: int) -> np.ndarray:
-        """``values[index]`` to round-off, without building ``values``.
-
-        With C the postselection matrix of ``_postselection_matrix`` on the
-        table's phi grid (the row of the phi smear, or the node itself with
-        weight 1 when projective) and A_c the translated pointer components,
-        the row before the Q smear is
-
-            sum_c w_c Re sum_j A_cj(Q) (C conj(A_c))_j(Q):
-
-        n_nodes dim^2 + components dim^2 n_Q multiply-adds.
-        ``conditional_mean`` reads it for a custom Q kernel only; for the
-        others it is the grid oracle of the closed-form readout.
-        """
-        joint = self.joint
-        coef = _postselection_matrix(joint, self.kernel_phi, self.phi_grid.points[index],
-                                     self.phi_grid)
-        amps = joint.pointer.amplitudes(self.Q_grid.points, joint.shifts)  # (c, dim, n_Q)
-        if not np.iscomplexobj(amps):  # a real pointer needs only Re C
-            coef = coef.real
-        row = np.einsum("c,cjq,cjq->q", joint.pointer.weights, amps,
-                        coef @ amps.conj()).real
-        if not self.kernel_Q.is_projective:
-            row = smear_matrix(self.kernel_Q, self.Q_grid.points, self.Q_grid) @ row
-        return row
 
     def total_mass(self) -> float:
         return float(self.phi_grid.weights @ self.values @ self.Q_grid.weights)
@@ -406,33 +377,6 @@ def _node(table: JointOutcomeTable, phi: float) -> int:
     return int(idx[0])
 
 
-def _refuse_vanishing(probability: float, phi: float) -> float:
-    if probability < 1e-12:
-        raise ValueError(f"postselection probability at phi={phi} is below 1e-12")
-    return probability
-
-
-def _exact_terms(joint: JointState, kernel_phi: DetectorKernel, phi: float,
-                 grid: QuadratureGrid | None):
-    """C at phi by the exact postselection rule (``grid`` for a custom phi
-    kernel only), the pointer-overlap exponents x_c[j, l] = -D^2/(8 sigma_c^2)
-    - i k_c D with D = s_j - s_l, shape (c, dim, dim), and M0 = sum_c w_c e^{x_c}."""
-    coef = _postselection_matrix(joint, kernel_phi, phi,
-                                 grid if kernel_phi.kind == "custom" else None)
-    pointer, shifts = joint.pointer, joint.shifts
-    gap = shifts[:, None] - shifts[None, :]
-    x = -gap * gap / (8.0 * pointer.sigmas[:, None, None] ** 2)
-    if np.any(pointer.boosts != 0.0):
-        x = x - 1j * pointer.boosts[:, None, None] * gap
-    return coef, x, np.tensordot(pointer.weights, np.exp(x), 1)
-
-
-def _ratio(coef: np.ndarray, m: np.ndarray, m0: np.ndarray, phi: float) -> float:
-    """Re sum C o M / Re sum C o M0, refusing a postselection probability
-    Re sum C o M0 below 1e-12."""
-    return float(np.sum(coef * m).real) / _refuse_vanishing(float(np.sum(coef * m0).real), phi)
-
-
 def pointer_shift(joint: JointState, kernel_phi: DetectorKernel, phi: float,
                   grid: QuadratureGrid | None = None) -> float:
     """[E_eps(Q|phi) - E_0(Q|phi)] / eps, the pointer estimate of Re nu_w(phi),
@@ -451,90 +395,44 @@ def pointer_shift(joint: JointState, kernel_phi: DetectorKernel, phi: float,
 
     components dim^2 exponentials, no Q grid.  C does not depend on eps, and
     Re sum C, the uncoupled postselection probability, is refused below
-    1e-12, as is eps = 0.
+    1e-12, as are Re sum C o M0 below 1e-12 and eps = 0.
     """
     eps = joint.epsilon
     if eps == 0.0:
         raise ValueError("shift extraction needs a nonzero coupling")
-    coef, x, m0 = _exact_terms(joint, kernel_phi, phi, grid)
-    _refuse_vanishing(float(np.sum(coef).real), phi)  # the uncoupled probability
-    pointer, nu = joint.pointer, joint.nu_eigvals
+    coef = _postselection_matrix(joint, kernel_phi, phi,
+                                 grid if kernel_phi.kind == "custom" else None)
+    pointer, nu, shifts = joint.pointer, joint.nu_eigvals, joint.shifts
+    gap = shifts[:, None] - shifts[None, :]
+    x = -gap * gap / (8.0 * pointer.sigmas[:, None, None] ** 2)
+    if np.any(pointer.boosts != 0.0):
+        x = x - 1j * pointer.boosts[:, None, None] * gap
+    m0 = np.tensordot(pointer.weights, np.exp(x), 1)
+    probability = float(np.sum(coef * m0).real)
+    if float(np.sum(coef).real) < 1e-12 or probability < 1e-12:
+        raise ValueError(f"postselection probability at phi={phi} is below 1e-12")
     mean = np.average(pointer.centers, weights=pointer.weights)
     n = (np.tensordot(pointer.weights * (pointer.centers - mean), np.expm1(x), 1) / eps
          + 0.5 * (nu[:, None] + nu[None, :]) * m0)
-    return _ratio(coef, n, m0, phi)
-
-
-def conditional_mean(table: JointOutcomeTable, phi: float) -> float:
-    """E(Q | phi) at a grid node of the phi axis.
-
-    With a projective or Gaussian Q kernel it is the pointer mean, with C, M0
-    and x_c as in ``pointer_shift`` (C on the table's phi grid for a custom
-    phi kernel):  E(Q | phi) = Re sum C o M1 / Re sum C o M0,
-    M1 = sum_c w_c (c_c + (s_j + s_l)/2) e^{x_c}.  A custom Q kernel may be
-    biased, so its mean is the Q-grid integral of ``table.row``.
-    """
-    index = _node(table, phi)
-    if table.kernel_Q.kind == "custom":
-        row = table.row(index)
-        den = _refuse_vanishing(float(table.Q_grid.weights @ row), phi)
-        return float(table.Q_grid.weights @ (table.Q_grid.points * row) / den)
-    coef, x, m0 = _exact_terms(table.joint, table.kernel_phi,
-                               table.phi_grid.points[index], table.phi_grid)
-    pointer, shifts = table.joint.pointer, table.joint.shifts
-    m1 = (np.tensordot(pointer.weights * pointer.centers, np.exp(x), 1)
-          + 0.5 * (shifts[:, None] + shifts[None, :]) * m0)
-    return _ratio(coef, m1, m0, phi)
-
-
-def _same(x: np.ndarray, y: np.ndarray) -> bool:
-    return x is y or np.array_equal(x, y)
-
-
-def _same_kernel(a: DetectorKernel, b: DetectorKernel) -> bool:
-    """A Gaussian or projective kernel is fixed by its width, a custom one by its function."""
-    return a.kind == b.kind and (a.func is b.func if a.kind == "custom"
-                                 else a.width_sigma_eta == b.width_sigma_eta)
-
-
-def _require_same_setup(table: JointOutcomeTable, baseline: JointOutcomeTable) -> None:
-    """Refuse a baseline that is not the table's own setup at eps = 0."""
-    a, b = table.joint, baseline.joint
-    checks = (
-        ("grids", _same(table.phi_grid.points, baseline.phi_grid.points)
-         and _same(table.Q_grid.points, baseline.Q_grid.points)),
-        ("nu eigenvectors", _same(a.nu_vectors, b.nu_vectors)),
-        ("state", _same(a.state, b.state)),
-        ("pointer", a.pointer.kind == b.pointer.kind
-         and all(_same(getattr(a.pointer, name), getattr(b.pointer, name))
-                 for name in ("weights", "centers", "sigmas", "boosts"))),
-        ("phi kernel", _same_kernel(table.kernel_phi, baseline.kernel_phi)),
-        ("Q kernel", _same_kernel(table.kernel_Q, baseline.kernel_Q)),
-    )
-    for name, same in checks:
-        if not same:
-            raise ValueError(f"baseline and table differ in their {name}")
+    return float(np.sum(coef * n).real) / probability
 
 
 def conditional_pointer_shift(table: JointOutcomeTable, phi: float,
                               baseline: JointOutcomeTable) -> float:
-    """``pointer_shift`` of the table's state at a node of its phi axis.
+    """``pointer_shift`` of the table's state at a node of its phi axis, with
+    the table's phi grid serving a custom phi kernel.
 
-    ``baseline`` must be the eps = 0 table of the same state and pointer, on
-    identical grids and kernels; a baseline whose grids, nu eigenvectors,
-    state, pointer or kernels differ from the table's is refused.  With a
-    custom Q kernel the shift is the difference of the two
-    ``conditional_mean``; otherwise it needs no baseline.
+    ``baseline`` is the eps = 0 table and enters no number; one at another
+    eps is refused.  So is a custom Q kernel: it may be biased, so the
+    pointer shift need not be its readout shift.
     """
     if baseline.epsilon != 0.0:
         raise ValueError("baseline table must be computed at eps = 0")
-    if table.epsilon == 0.0:
-        raise ValueError("shift extraction needs a nonzero coupling")
-    _require_same_setup(table, baseline)
-    if table.kernel_Q.kind != "custom":
-        return pointer_shift(table.joint, table.kernel_phi,
-                             table.phi_grid.points[_node(table, phi)], table.phi_grid)
-    return (conditional_mean(table, phi) - conditional_mean(baseline, phi)) / table.epsilon
+    if table.kernel_Q.kind == "custom":
+        raise ValueError("a custom Q kernel may be biased, so its readout shift is not "
+                         "the pointer shift; read it from table.values")
+    return pointer_shift(table.joint, table.kernel_phi,
+                         table.phi_grid.points[_node(table, phi)], table.phi_grid)
 
 
 # ---------------------------------------------------------------------------

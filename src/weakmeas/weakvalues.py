@@ -90,7 +90,7 @@ def weak_value(nu: Observable, rho: DensityOperator, kernel: DetectorKernel,
     """
     if nu.dim != rho.dim:
         raise ValueError(f"observable dim {nu.dim} != state dim {rho.dim}")
-    scalar = np.isscalar(phi)
+    scalar = np.ndim(phi) == 0
     nu_rho = nu.matrix @ rho.matrix
     re, im, den = _postselected_forms(kernel, phi, rho.dim,
                                       [nu_rho.real, nu_rho.imag, rho.matrix.real], grid)

@@ -281,6 +281,23 @@ def test_thermal_state_rejects_negative_occupation():
         thermal_state(-0.1, 10)
 
 
+@pytest.mark.parametrize("dim", [0, 1])
+def test_thermal_state_rejects_dim_below_two(dim):
+    with pytest.raises(ValueError, match="dim must be >= 2"):
+        thermal_state(0.3, dim)
+
+
+@pytest.mark.parametrize("points, weights", [
+    ([-1.0, math.nan, 1.0], [1.0, 1.0, 1.0]),
+    ([-1.0, 0.0, math.inf], [1.0, 1.0, 1.0]),
+    ([-1.0, 0.0, 1.0], [1.0, math.inf, 1.0]),
+    ([-1.0, 0.0, 1.0], [1.0, math.nan, 1.0]),
+], ids=["nan_point", "inf_point", "inf_weight", "nan_weight"])
+def test_grid_rejects_non_finite_points_and_weights(points, weights):
+    with pytest.raises(ValueError, match="finite"):
+        QuadratureGrid(points, weights)
+
+
 def test_grid_with_points_injects_zero_weight_nodes():
     # at an odd node count 0.0 is already a node: it keeps its weight, with no
     # copy (an unstable sort kept the zero-weight copy at 401 nodes)

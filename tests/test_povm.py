@@ -139,6 +139,16 @@ def test_effective_marginal_vacuum_peak():
     assert density(0.0) == pytest.approx(1 / math.sqrt(math.pi), abs=1e-10)
 
 
+def test_effective_marginal_scalar_in_scalar_out():
+    density = effective_marginal(coherent_state(0.0, 20), gaussian_kernel(0.3),
+                                 default_grid(dim=20))
+    for q in (0.5, np.float64(0.5), np.array(0.5)):
+        assert type(density(q)) is float
+    for q in ([0.5], np.array([0.5]), np.array([0.5, 1.0])):
+        assert density(q).shape == np.shape(q)
+    assert density(np.array([0.5]))[0] == density(0.5)
+
+
 def test_effective_marginal_is_convolution(rng):
     from conftest import random_density
 

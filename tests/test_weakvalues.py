@@ -78,6 +78,17 @@ def test_vanishing_postselection_raises():
         weak_value(n, rho, delta_kernel(), 40.0)
 
 
+def test_weak_value_scalar_in_scalar_out():
+    rho = coherent_state(0.5, 12)
+    n = make_operator("number", 12)
+    for q in (0.5, np.float64(0.5), np.array(0.5)):
+        assert type(weak_value(n, rho, gaussian_kernel(0.3), q)) is complex
+    for q in ([0.5], np.array([0.5]), np.array([0.5, 1.0])):
+        assert weak_value(n, rho, gaussian_kernel(0.3), q).shape == np.shape(q)
+    assert weak_value(n, rho, gaussian_kernel(0.3), [0.5])[0] == weak_value(
+        n, rho, gaussian_kernel(0.3), 0.5)
+
+
 def test_trace_formula_matches_p2_profile_at_examples():
     rho = coherent_state(0.0, 40)
     p2 = make_operator("momentum_squared", 40)
