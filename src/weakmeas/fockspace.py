@@ -244,14 +244,18 @@ class QuadratureGrid:
 
     @classmethod
     def gauss_legendre(cls, half_width: float, n: int = 400) -> "QuadratureGrid":
-        """Gauss-Legendre rule on [-half_width, half_width]."""
+        """Gauss-Legendre rule of n >= 1 nodes on [-half_width, half_width]."""
+        if n < 1:
+            raise ValueError(f"a Gauss-Legendre grid needs n >= 1 nodes, got {n}")
         x, w = leggauss(n)
         return cls(x * half_width, w * half_width)
 
     @classmethod
     def uniform(cls, half_width: float, n: int) -> "QuadratureGrid":
-        """Equispaced trapezoid rule; exact for piecewise-linear integrands
-        whose kinks fall on nodes (useful for non-smooth kernels)."""
+        """Equispaced trapezoid rule of n >= 2 nodes; exact for piecewise-linear
+        integrands whose kinks fall on nodes (useful for non-smooth kernels)."""
+        if n < 2:
+            raise ValueError(f"a uniform (trapezoid) grid needs n >= 2 nodes, got {n}")
         pts = np.linspace(-half_width, half_width, n)
         h = pts[1] - pts[0]
         w = np.full(n, h)

@@ -9,16 +9,16 @@ translate each pointer component, superpose.  There is no propagation or
 Trotter error.  The object state is held as R = U^dag rho U, one matrix
 product with no eigendecomposition of rho and no rank clip, and the one
 ``eigh`` of nu is kept on the ``Observable``, shared by every joint state
-built from it.  The joint position density is one sum over pairs j <= l of
-nu eigenvectors, a real matrix product of n_phi dim(dim+1)/2 n_Q
-multiply-adds whatever the rank of the state or the number of pointer
-components (``position_density``).  A ``joint_distribution`` table builds
-that density, and its smears, by quadrature on its readout grids on first
-access to ``values``.  ``pointer_shift`` is the one pointer readout: it reads
-the shift from the evolved state alone, a closed form in the Gaussian pair
-overlaps of the pointer over the exact postselection rule, with no table and
-no grid for a projective or Gaussian phi kernel.  ``conditional_pointer_shift``
-only looks up a node of a table's phi axis in front of it.
+built from it.  The product of two translated pointer components is a
+Gaussian in Q times their overlap e^{x_c}, so the joint position density is
+one real matrix product over pairs j <= l of nu eigenvectors, whatever the
+rank of the state (``position_density``).  A ``joint_distribution`` table
+builds its ``values`` on first access from that closed form, widened by a
+Gaussian Q kernel, and the exact postselection rule on its phi axis.
+``pointer_shift`` is the one pointer readout: it reads the shift from the
+evolved state alone, a closed form in the pair overlaps over the same rule,
+with no table and no grid for a projective or Gaussian phi kernel.
+``conditional_pointer_shift`` only looks up a node of a table's phi axis.
 
 Pointers may be arbitrary Gaussian mixtures.  The first-order readout law
 (conditional pointer mean shifted by eps * Re nu_w) requires only that the
@@ -63,8 +63,7 @@ from .fockspace import (
     make_operator,
     wavefunction_table,
 )
-from .povm import (DetectorKernel, _postselected_forms, delta_kernel, postselection_rule,
-                   smear_matrix)
+from .povm import DetectorKernel, _postselected_forms, delta_kernel, postselection_rule
 from .weakvalues import weak_value
 
 __all__ = [
@@ -86,9 +85,6 @@ __all__ = [
     "CrossKerrResult",
     "QubitPointerResult",
 ]
-
-PHI_BLOCK = 64  # postselection rows per block of pair coefficients
-
 
 class UnsupportedPointerError(TypeError):
     """Pointer representation incompatible with the requested coupling."""
@@ -144,21 +140,6 @@ class PointerState:
                              f"got {s_x * s_x + s_y * s_y:.6f}")
         return cls("qubit", s_x=float(s_x), s_y=float(s_y))
 
-    def amplitudes(self, Q, shifts=0.0) -> np.ndarray:
-        """Component wavefunctions evaluated at Q - shift, shape
-        (n_components, n_shifts, n_Q); ``shifts`` broadcasts over axis 1."""
-        if self.kind != "gaussian_mixture":
-            raise UnsupportedPointerError("amplitudes exist for Gaussian mixtures only")
-        Q = np.atleast_1d(np.asarray(Q, dtype=float))
-        shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
-        x = Q[None, None, :] - shifts[None, :, None] - self.centers[:, None, None]
-        s = self.sigmas[:, None, None]
-        amp = (2.0 * np.pi * s * s) ** -0.25 * np.exp(-x * x / (4.0 * s * s))
-        if np.any(self.boosts != 0.0):
-            amp = amp * np.exp(1j * self.boosts[:, None, None]
-                               * (Q[None, None, :] - shifts[None, :, None]))
-        return amp
-
 
 @dataclass(frozen=True)
 class CurrentReport:
@@ -166,6 +147,11 @@ class CurrentReport:
 
     max_violation: float
     location: float  # grid position; NaN for qubit pointers
+
+
+def _gaussian(Q, mean, var):
+    """Normal density N(Q; mean, var), broadcast over its arguments."""
+    return np.exp(-(Q - mean) ** 2 / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
 
 
 def check_zero_current(pointer: PointerState) -> CurrentReport:
@@ -180,11 +166,8 @@ def check_zero_current(pointer: PointerState) -> CurrentReport:
         return CurrentReport(0.0, math.nan)
     span = float(np.max(np.abs(pointer.centers) + 10.0 * pointer.sigmas))
     Q = QuadratureGrid.gauss_legendre(span, 400).points
-    amp = pointer.amplitudes(Q)[:, 0, :]
-    x = Q[None, :] - pointer.centers[:, None]
-    s2 = (pointer.sigmas ** 2)[:, None]
-    damp = (-x / (2.0 * s2) + 1j * pointer.boosts[:, None]) * amp
-    j = np.sum(pointer.weights[:, None] * (-1j * damp * amp.conj()).real, axis=0)
+    j = (pointer.weights * pointer.boosts) @ _gaussian(Q, pointer.centers[:, None],
+                                                       pointer.sigmas[:, None] ** 2)
     i = int(np.argmax(np.abs(j)))
     return CurrentReport(float(abs(j[i])), float(Q[i]))
 
@@ -242,19 +225,50 @@ def evolve_further(joint: JointState, extra_epsilon: float) -> JointState:
                       joint.epsilon + _finite_coupling(extra_epsilon))
 
 
-def _bras(joint: JointState, phi_points: np.ndarray) -> np.ndarray:
-    """psi(phi)^T U, the postselection bras in the nu eigenbasis."""
-    return wavefunction_table(joint.nu_eigvals.size, phi_points).T @ joint.nu_vectors
+def _postselection_matrices(joint: JointState, nodes, weights) -> np.ndarray:
+    """B_i^T diag(w_i) conj(B_i) per row i of a postselection rule (nodes x,
+    weights w), B_i = psi(x_i)^T U: the postselection in the nu eigenbasis."""
+    dim = joint.nu_eigvals.size
+    bras = (wavefunction_table(dim, nodes.ravel()).T @ joint.nu_vectors).reshape(
+        *nodes.shape, dim)
+    return np.swapaxes(bras * weights[..., None], 1, 2) @ bras.conj()
 
 
-def _postselection_matrix(joint: JointState, kernel_phi: DetectorKernel, phi: float,
-                          grid: QuadratureGrid | None) -> np.ndarray:
-    """C = (B^T diag(w) conj(B)) o R, with the nodes x and weights w of
-    ``postselection_rule(kernel_phi, phi, dim, grid)`` and B = psi(x)^T U:
-    the state in the nu eigenbasis, weighted by the postselection."""
-    nodes, weights = postselection_rule(kernel_phi, phi, joint.nu_eigvals.size, grid)
-    bra = _bras(joint, nodes[0])
-    return (bra.T * weights[0]) @ bra.conj() * joint.state
+def _pair_exponents(pointer: PointerState, shifts: np.ndarray) -> np.ndarray:
+    """x_c[j, l] = -(s_j - s_l)^2/(8 sigma_c^2) - i k_c (s_j - s_l), the log of
+    the overlap of component c translated by s_j with its translate by s_l."""
+    gap = shifts[:, None] - shifts[None, :]
+    x = -gap * gap / (8.0 * pointer.sigmas[:, None, None] ** 2)
+    if np.any(pointer.boosts != 0.0):
+        x = x - 1j * pointer.boosts[:, None, None] * gap
+    return x
+
+
+def _pair_gaussians(joint: JointState, j, l, Q, widening: float = 0.0) -> np.ndarray:
+    """P[p, q] = sum_c w_c A_cj(Q_q) conj(A_cl(Q_q)) for the pairs (j_p, l_p), in
+    closed form: A_cj conj(A_cl) = e^{x_c[j, l]} N(Q; c_c + (s_j + s_l)/2,
+    sigma_c^2), a Gaussian that a Gaussian Q kernel of variance ``widening``
+    widens to sigma_c^2 + widening.  Real unless the pointer is boosted."""
+    pointer, s = joint.pointer, joint.shifts
+    scale = pointer.weights[:, None] * np.exp(_pair_exponents(pointer, s)[:, j, l])
+    mid = 0.5 * (s[j] + s[l])[:, None]
+    return sum(f[:, None] * _gaussian(Q, c + mid, v) for f, c, v in
+               zip(scale, pointer.centers, pointer.sigmas ** 2 + widening))
+
+
+def _density(joint: JointState, nodes, weights, Q, widening: float = 0.0) -> np.ndarray:
+    """The density of ``position_density`` integrated over each row of a
+    postselection rule; one row of nodes shared by every row of weights is
+    evaluated node by node, then weighted."""
+    if nodes.shape[0] < weights.shape[0]:
+        return weights @ _density(joint, nodes.T, np.ones(nodes.T.shape), Q, widening)
+    dim = joint.nu_eigvals.size
+    j, l = np.triu_indices(dim)
+    coef = np.take(_postselection_matrices(joint, nodes, weights).reshape(-1, dim * dim),
+                   j * dim + l, axis=1)
+    coef *= np.where(j == l, 1.0, 2.0) * joint.state[j, l]
+    pairs = _pair_gaussians(joint, j, l, Q, widening)
+    return (coef @ pairs).real if np.iscomplexobj(pairs) else coef.real @ pairs
 
 
 def position_density(joint: JointState, phi_points, Q_points) -> np.ndarray:
@@ -265,32 +279,15 @@ def position_density(joint: JointState, phi_points, Q_points) -> np.ndarray:
     translated by eps nu_j, the density is a sum over eigenvector pairs j <= l:
 
         sum_{j<=l} (2 - delta_jl) Re[b_j conj(b_l) R_jl P_jl(Q)],
-        P_jl(Q) = sum_c w_c A_cj(Q) conj(A_cl(Q)).
+        P_jl(Q) = sum_c w_c A_cj(Q) conj(A_cl(Q)),
 
-    That is one real product of an (n_phi, dim(dim+1)/2) coefficient table
-    with the (dim(dim+1)/2, n_Q) pair table: n_phi dim(dim+1)/2 n_Q real
+    P in closed form (``_pair_gaussians``): n_phi dim(dim+1)/2 n_Q real
     multiply-adds (four times that for a boosted pointer, whose pairs are
-    complex), whatever the rank of rho and the number of components.  R is
-    the stored ``JointState.state`` (no eigendecomposition of rho, no rank
-    clip) and U the observable's one kept ``eigh``.
+    complex) whatever the rank of rho.
     """
     phi_points = np.atleast_1d(np.asarray(phi_points, dtype=float))
     Q_points = np.atleast_1d(np.asarray(Q_points, dtype=float))
-    dim = joint.nu_eigvals.size
-    bra = _bras(joint, phi_points)                                  # (n_phi, dim)
-    j, l = np.triu_indices(dim)
-    rho_pairs = np.where(j == l, 1.0, 2.0) * joint.state[j, l]
-    amps = joint.pointer.amplitudes(Q_points, joint.shifts)         # (c, dim, n_Q)
-    weighted, conjugate = joint.pointer.weights[:, None, None] * amps, np.conj(amps)
-    pairs = np.concatenate([np.einsum("cq,ckq->kq", weighted[:, row], conjugate[:, row:])
-                            for row in range(dim)])                 # rows in (j, l) order
-    boosted = np.iscomplexobj(pairs)  # a real pointer's pairs need only Re coef
-    density = np.empty((phi_points.size, Q_points.size))
-    for start in range(0, phi_points.size, PHI_BLOCK):
-        b = bra[start:start + PHI_BLOCK]
-        coef = b[:, j] * b[:, l].conj() * rho_pairs
-        density[start:start + PHI_BLOCK] = (coef @ pairs).real if boosted else coef.real @ pairs
-    return density
+    return _density(joint, phi_points[:, None], np.ones((phi_points.size, 1)), Q_points)
 
 
 @dataclass(frozen=True)
@@ -298,10 +295,10 @@ class JointOutcomeTable:
     """Smeared joint outcome density over (phi, Q) readout grids.
 
     Holds the evolved state, both detector kernels and both grids.  The
-    (n_phi, n_Q) ``values`` are built on first access, by ``position_density``
-    and then ``smear_matrix`` on each smeared axis, and kept.  They are the
-    grid route: ``conditional_pointer_shift`` never builds them, and tests
-    hold the closed-form shift against them.
+    (n_phi, n_Q) ``values`` are built on first access and kept: the phi axis
+    by ``postselection_rule``, exact for a projective or Gaussian kernel, the
+    Q axis by the pair Gaussians, widened by a Gaussian Q kernel.  A custom
+    kernel takes its weights on the table's grid of that axis.
     """
 
     joint: JointState
@@ -316,13 +313,14 @@ class JointOutcomeTable:
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        density = position_density(self.joint, self.phi_grid.points, self.Q_grid.points)
-        if not self.kernel_phi.is_projective:
-            density = smear_matrix(self.kernel_phi, self.phi_grid.points,
-                                   self.phi_grid) @ density
-        if not self.kernel_Q.is_projective:
-            density = density @ smear_matrix(self.kernel_Q, self.Q_grid.points,
-                                             self.Q_grid).T
+        phi, Q, dim = self.phi_grid.points, self.Q_grid.points, self.joint.nu_eigvals.size
+        kernel_phi, kernel_Q = self.kernel_phi, self.kernel_Q
+        rule = postselection_rule(kernel_phi, phi, dim,
+                                  self.phi_grid if kernel_phi.kind == "custom" else None)
+        widening = kernel_Q.width_sigma_eta ** 2 if kernel_Q.kind == "gaussian" else 0.0
+        density = _density(self.joint, *rule, Q, widening)
+        if kernel_Q.kind == "custom":
+            density = density @ postselection_rule(kernel_Q, Q, dim, self.Q_grid)[1].T
         return density
 
     def total_mass(self) -> float:
@@ -349,14 +347,11 @@ def joint_distribution(joint: JointState,
         phi_grid = default_grid(dim=joint.nu_eigvals.size)
     if Q_grid is None:
         Q_grid = _default_pointer_grid(joint)
-    # the readout law assumes the pointer density dies off inside the grid;
-    # the phi-integrated pointer density is occupation-weighted over the
-    # translated components
-    occupation = joint.state.diagonal().real
-    borders = joint.pointer.amplitudes(Q_grid.points[[0, -1]], joint.shifts)
-    per_shift = np.sum(joint.pointer.weights[:, None, None] * np.abs(borders) ** 2,
-                       axis=0)
-    border_density = float(np.max(occupation @ per_shift))
+    # the readout law assumes the pointer density dies off inside the grid: the
+    # occupation-weighted densities of the translated components (j = l pairs)
+    diagonal = np.arange(joint.nu_eigvals.size)
+    borders = _pair_gaussians(joint, diagonal, diagonal, Q_grid.points[[0, -1]]).real
+    border_density = float(np.max(joint.state.diagonal().real @ borders))
     if border_density > 1e-12:
         warnings.warn(f"pointer density {border_density:.2e} at the readout-grid "
                       f"border exceeds 1e-12; widen the Q grid", stacklevel=2)
@@ -390,8 +385,7 @@ def pointer_shift(joint: JointState, kernel_phi: DetectorKernel, phi: float,
 
         shift = Re sum C o N / Re sum C o M0,
         N  = sum_c w_c [(c_c - E_0) expm1(x_c)/eps + (nu_j + nu_l)/2 e^{x_c}],
-        M0 = sum_c w_c e^{x_c},
-        x_c[j, l] = -(s_j - s_l)^2/(8 sigma_c^2) - i k_c (s_j - s_l):
+        M0 = sum_c w_c e^{x_c},  x_c of ``_pair_exponents``:
 
     components dim^2 exponentials, no Q grid.  C does not depend on eps, and
     Re sum C, the uncoupled postselection probability, is refused below
@@ -400,13 +394,11 @@ def pointer_shift(joint: JointState, kernel_phi: DetectorKernel, phi: float,
     eps = joint.epsilon
     if eps == 0.0:
         raise ValueError("shift extraction needs a nonzero coupling")
-    coef = _postselection_matrix(joint, kernel_phi, phi,
-                                 grid if kernel_phi.kind == "custom" else None)
-    pointer, nu, shifts = joint.pointer, joint.nu_eigvals, joint.shifts
-    gap = shifts[:, None] - shifts[None, :]
-    x = -gap * gap / (8.0 * pointer.sigmas[:, None, None] ** 2)
-    if np.any(pointer.boosts != 0.0):
-        x = x - 1j * pointer.boosts[:, None, None] * gap
+    rule = postselection_rule(kernel_phi, phi, joint.nu_eigvals.size,
+                              grid if kernel_phi.kind == "custom" else None)
+    coef = _postselection_matrices(joint, *rule)[0] * joint.state
+    pointer, nu = joint.pointer, joint.nu_eigvals
+    x = _pair_exponents(pointer, joint.shifts)
     m0 = np.tensordot(pointer.weights, np.exp(x), 1)
     probability = float(np.sum(coef * m0).real)
     if float(np.sum(coef).real) < 1e-12 or probability < 1e-12:
@@ -487,6 +479,8 @@ def simulate_cross_kerr(rho_a_mode: DensityOperator, rho_b_pointer: DensityOpera
     db = rho_b_pointer.dim
     ladder = np.diag(np.sqrt(np.arange(1, db, dtype=float)), k=1).astype(complex)
     theta = float(readout_quadrature_phase)
+    if not math.isfinite(theta):
+        raise ValueError(f"readout quadrature phase must be finite, got {theta}")
     quad = (ladder * np.exp(-1j * theta) + ladder.conj().T * np.exp(1j * theta)) / math.sqrt(2.0)
 
     base = np.full(q.size, np.trace(rho_b_pointer.matrix @ quad).real)

@@ -298,6 +298,17 @@ def test_grid_rejects_non_finite_points_and_weights(points, weights):
         QuadratureGrid(points, weights)
 
 
+@pytest.mark.parametrize("build, domain", [
+    (lambda: QuadratureGrid.uniform(5.0, 1), "n >= 2"),
+    (lambda: QuadratureGrid.uniform(5.0, 0), "n >= 2"),
+    (lambda: QuadratureGrid.gauss_legendre(5.0, 0), "n >= 1"),
+    (lambda: default_grid(points=0), "n >= 1"),
+], ids=["uniform_1", "uniform_0", "gauss_legendre_0", "default_grid_0"])
+def test_grid_refuses_node_count_below_its_domain(build, domain):
+    with pytest.raises(ValueError, match=f"needs {domain} nodes"):
+        build()
+
+
 def test_grid_with_points_injects_zero_weight_nodes():
     # at an odd node count 0.0 is already a node: it keeps its weight, with no
     # copy (an unstable sort kept the zero-weight copy at 401 nodes)

@@ -335,17 +335,17 @@ def test_one_eigh_per_observable_and_one_postselection_matrix_per_shift(monkeypa
         with pytest.raises(ValueError):
             array[0] = 0.0
 
-    built = []
-    real = vn._postselection_matrix
-    monkeypatch.setattr(vn, "_postselection_matrix",
-                        lambda *args: built.append(args[2]) or real(*args))
+    built = []  # rows of postselection matrices per call
+    real = vn._postselection_matrices
+    monkeypatch.setattr(vn, "_postselection_matrices",
+                        lambda *args: built.append(len(args[1])) or real(*args))
     kernel = gaussian_kernel(0.4)
     phi_grid = default_grid(dim=dim, points=60).with_points([phi])
     q_grid = QuadratureGrid.gauss_legendre(14.0, 100)
     baseline, table = (joint_distribution(j, kernel, None, phi_grid, q_grid)
                        for j in (start, evolved))
     assert math.isfinite(conditional_pointer_shift(table, phi, baseline))
-    assert built == [phi]
+    assert built == [1]
 
 
 def _other_setups(dim, phi):
@@ -421,16 +421,50 @@ def test_shift_accepts_a_rebuilt_or_composed_baseline():
 
 
 def test_table_values_are_smeared_position_density():
-    rho = displaced_thermal_state(alpha_from_quadratures(1.0, 0.2), 0.3, 24)
-    joint = evolve_exact(rho, MIXTURE, make_operator("hamiltonian", 24), 0.2)
-    kernel_phi, kernel_q = gaussian_kernel(0.4), gaussian_kernel(0.3)
-    table = joint_distribution(joint, kernel_phi, kernel_q)
-    phi, q = table.phi_grid, table.Q_grid
-    expected = (smear_matrix(kernel_phi, phi.points, phi)
-                @ joint_density(joint, phi.points, q.points)
-                @ smear_matrix(kernel_q, q.points, q).T)
-    assert np.array_equal(table.values, expected)
-    assert table.values is table.values
+    """``values`` on the default 400-node phi grid against the grid route on
+    fine trapezoid grids: ``position_density`` on 6000 phi nodes (and 361 Q
+    nodes for a smeared Q axis), smeared onto the table's points by
+    ``smear_matrix``.  The trapezoid rule resolves the eta = 0.999 kernel
+    (sigma_eta = 0.022, 4.8 node spacings), where a smear on the table's own
+    grid is 0.27 of the largest value off; a custom kernel, whose rule is the
+    table's grid, is smooth enough for that grid.  Every eighth phi row."""
+    dim, eps = 16, 0.2
+    kernels = {"projective": None, "custom": SMOOTH_CUSTOM, "gaussian": gaussian_kernel(0.3),
+               **{f"eta {eta}": gaussian_kernel(sigma_from_efficiency(eta))
+                  for eta in (0.9, 0.99, 0.999)}}
+    cases = [("eta 0.999", "projective"), ("eta 0.99", "gaussian"), ("eta 0.9", "custom"),
+             ("custom", "custom"), ("projective", "gaussian")]  # (phi kernel, Q kernel)
+    phi_fine, q_fine = QuadratureGrid.uniform(14.0, 6000), QuadratureGrid.uniform(18.0, 361)
+    phi_grid, q_grid = default_grid(dim=dim), QuadratureGrid.uniform(16.0, 161)
+    rows = phi_grid.points[::8]
+    failures = []
+    for pointer, name in ((PointerState.gaussian(0.9), "single"), (MIXTURE, "mixture"),
+                          (BOOSTED, "boosted")):
+        for n_th in (0.0, 0.8):
+            rho = displaced_thermal_state(alpha_from_quadratures(1.0, 0.2), n_th, dim)
+            assert _rank(rho) == (1 if n_th == 0.0 else dim)
+            joint = evolve_exact(rho, pointer, make_operator("hamiltonian", dim), eps)
+            densities = {}  # position_density per (smeared phi, smeared Q)
+            for phi_name, q_name in cases:
+                kernel_phi, kernel_q = kernels[phi_name], kernels[q_name]
+                table = joint_distribution(joint, kernel_phi, kernel_q, phi_grid, q_grid)
+                smeared = (kernel_phi is not None, kernel_q is not None)
+                if smeared not in densities:
+                    densities[smeared] = joint_density(
+                        joint, phi_fine.points if smeared[0] else rows,
+                        q_fine.points if smeared[1] else q_grid.points)
+                want = densities[smeared]
+                if kernel_phi is not None:
+                    want = smear_matrix(kernel_phi, rows, phi_fine) @ want
+                if kernel_q is not None:
+                    want = want @ smear_matrix(kernel_q, q_grid.points, q_fine).T
+                got = table.values[::8]
+                error = np.max(np.abs(got - want)) / np.max(np.abs(got))
+                if not error <= 1e-12:
+                    failures.append(f"{name} n_th={n_th} phi {phi_name} Q {q_name}: "
+                                    f"{error:.1e}")
+            assert table.values is table.values
+    assert not failures, failures
 
 
 @pytest.mark.parametrize("pointer", [PointerState.gaussian(0.9), MIXTURE, BOOSTED],
@@ -442,10 +476,9 @@ def test_table_values_are_smeared_position_density():
 def test_exact_readout_matches_fine_table_route(pointer, n_th, kernel_phi):
     """The closed-form shift, read from tables on the 400-node default phi
     grid, against the table route: the means of ``values`` at the node on a
-    1000-node phi grid, where the Gaussian phi smear is resolved
-    down to eta = 0.99 (sigma_eta = 0.071; 1000 and 4000 nodes give means
-    within 4e-16 of each other).  On the 400-node grid itself the eta = 0.99
-    smear is 4e-9 off, which the exact postselection rule does not see."""
+    1000-node phi grid.  The values of a projective or Gaussian phi kernel
+    take the exact postselection rule on any grid; a custom kernel's take
+    the table's grid as its rule."""
     dim, eps, phi = 20, 0.05, 0.37
     rho = displaced_thermal_state(alpha_from_quadratures(0.9, 0.4), n_th, dim)
     nu = make_operator("hamiltonian", dim)
@@ -531,6 +564,9 @@ def test_shift_has_no_cancellation_floor():
 @pytest.mark.parametrize("kernel_phi", [None, gaussian_kernel(0.4)],
                          ids=["phi_projective", "phi_gaussian"])
 def test_exact_readout_never_evaluates_pointer_on_q_grid(kernel_phi, kernel_q, monkeypatch):
+    """The shift reads the pair overlaps e^{x_c}, never the pair Gaussians on Q nodes."""
+    import weakmeas.vonneumann as vn
+
     rho = displaced_thermal_state(alpha_from_quadratures(1.0, 0.2), 0.3, 24)
     phi_grid = default_grid(dim=24, points=100).with_points([0.5])
     q_grid = QuadratureGrid.gauss_legendre(21.0, 200)
@@ -538,11 +574,13 @@ def test_exact_readout_never_evaluates_pointer_on_q_grid(kernel_phi, kernel_q, m
         joint_distribution(evolve_exact(rho, BOOSTED, make_operator("hamiltonian", 24), e),
                            kernel_phi, kernel_q, phi_grid, q_grid) for e in (0.0, 0.1))
 
-    def refuse(self, Q, shifts=0.0):
-        raise AssertionError(f"pointer amplitudes evaluated at {np.size(Q)} Q nodes")
+    def refuse(joint, j, l, Q, widening=0.0):
+        raise AssertionError(f"pair Gaussians evaluated at {np.size(Q)} Q nodes")
 
-    monkeypatch.setattr(PointerState, "amplitudes", refuse)
+    monkeypatch.setattr(vn, "_pair_gaussians", refuse)
     assert math.isfinite(conditional_pointer_shift(evolved, 0.5, baseline))
+    with pytest.raises(AssertionError, match="pair Gaussians"):
+        evolved.values  # the table does read them
 
 
 def test_kerr_fock_state_phase_shift_is_exact():
@@ -662,7 +700,9 @@ def test_position_density_matches_dense_operator_oracle():
     K_c(Q) = N_c exp(-(Q - c_c - eps nu)^2 / (4 s_c^2)) exp(i k_c (Q - eps nu))
     acts on the full state, density = sum_c w_c psi(phi)^T K_c rho K_c^dag psi(phi),
     with no eigendecomposition of rho.  Full rank, boosted mixture, strong
-    coupling; a dropped off-diagonal pair factor or boost term fails it."""
+    coupling; a dropped off-diagonal pair factor or boost term fails it.
+    Gaussian phi and Q kernels smear the oracle on fine trapezoid grids (8
+    and 3 nodes per kernel width) against the table's ``values``."""
     from scipy.linalg import expm
 
     dim, eps = 24, 0.3
@@ -670,14 +710,19 @@ def test_position_density_matches_dense_operator_oracle():
     pointer = PointerState.gaussian_mixture([(0.6, -0.5, 0.8, 0.7), (0.4, 0.9, 1.2)])
     phis = np.linspace(-2.5, 2.5, 5)
     Qs = np.linspace(-2.0, 8.0, 7)
-    psi = wavefunction_table(dim, phis)
+    phi_fine, q_fine = QuadratureGrid.uniform(6.0, 241), QuadratureGrid.uniform(11.0, 221)
+    psi = wavefunction_table(dim, np.concatenate([phis, phi_fine.points]))
+    phi_grid = default_grid(dim=dim, points=40).with_points(phis)
+    q_grid = QuadratureGrid.gauss_legendre(30.0, 60).with_points(Qs)
+    cells = np.ix_(np.searchsorted(phi_grid.points, phis), np.searchsorted(q_grid.points, Qs))
     for kind in ("hamiltonian", "momentum_squared"):
         nu = make_operator(kind, dim)
         joint = evolve_exact(rho, pointer, nu, eps)
         assert _rank(rho) == dim
         _assert_state_is_rotated(joint, rho, nu)
-        reference = np.zeros((phis.size, Qs.size))
-        for i, Q in enumerate(Qs):
+        Q_all = np.concatenate([Qs, q_fine.points])
+        reference = np.zeros((psi.shape[1], Q_all.size))
+        for i, Q in enumerate(Q_all):
             for w, c, s, k in zip(pointer.weights, pointer.centers, pointer.sigmas,
                                   pointer.boosts):
                 x = (Q - c) * np.eye(dim) - eps * nu.matrix
@@ -686,7 +731,22 @@ def test_position_density_matches_dense_operator_oracle():
                 sandwich = kraus @ rho.matrix @ kraus.conj().T
                 reference[:, i] += w * np.einsum("np,nm,mp->p", psi, sandwich, psi).real
         got = joint_density(joint, phis, Qs)
-        assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(reference)
+        want = reference[:phis.size, :Qs.size]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+        for kernel_phi, kernel_q in ((gaussian_kernel(0.4), None),
+                                     (None, gaussian_kernel(0.3)),
+                                     (gaussian_kernel(0.4), gaussian_kernel(0.3))):
+            got = joint_distribution(joint, kernel_phi, kernel_q, phi_grid, q_grid).values[cells]
+            want = reference
+            if kernel_phi is None:
+                want = want[:phis.size]
+            else:
+                want = smear_matrix(kernel_phi, phis, phi_fine) @ want[phis.size:]
+            if kernel_q is None:
+                want = want[:, :Qs.size]
+            else:
+                want = want[:, Qs.size:] @ smear_matrix(kernel_q, Qs, q_fine).T
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
 
 @pytest.mark.parametrize("call, name", [
@@ -727,6 +787,12 @@ def test_non_finite_coupling_refused(epsilon):
     for call in calls:
         with pytest.raises(ValueError, match="epsilon must be finite"):
             call()
+
+
+@pytest.mark.parametrize("phase", [math.nan, math.inf])
+def test_non_finite_readout_phase_refused(phase):
+    with pytest.raises(ValueError, match="readout quadrature phase must be finite"):
+        simulate_cross_kerr(coherent_state(0.5, 8), coherent_state(0.5, 8), 1e-3, phase, [0.1])
 
 
 def test_hermiticity_is_checked_once_per_observable(monkeypatch):
