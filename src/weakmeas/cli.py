@@ -8,6 +8,11 @@ non-finite number in any flag, or a weak value whose closed form and trace
 formula differ by more than ``TRACE_TOL`` in their real parts.  A flat JSON
 config file can preload any flag (``--config``); explicit flags win.  The
 environment variable WEAKMEAS_DIM overrides the default Fock truncation.
+``simulate`` couplings share the state flags, ``--epsilon``, ``--fock``,
+``--dim`` and ``--postselect-q``; besides those, each reads only its own
+(``_COUPLINGS``) and refuses another coupling's, by flag or config, with exit
+2.  The kerr meter reads the quadrature at right angles to its pointer
+amplitude beta, which must be nonzero.
 """
 
 from __future__ import annotations
@@ -132,17 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_flags(p)
     p.add_argument("--postselect-q", type=float, default=None)
     p.add_argument("--pointer-sigma", type=float, default=None)
-    p.add_argument("--pointer-center", type=float, default=None)
-    p.add_argument("--pointer-boost", type=float, default=None,
-                   help="momentum kick; nonzero values violate the zero-current "
-                        "pointer condition and are rejected")
     p.add_argument("--sx", type=float, default=None, help="qubit Bloch x component")
     p.add_argument("--sy", type=float, default=None, help="qubit Bloch y component")
     p.add_argument("--beta-r", type=float, default=None,
                    help="pointer-mode coherent amplitude (real quadrature)")
     p.add_argument("--beta-i", type=float, default=None)
-    p.add_argument("--readout-phase", type=float, default=None,
-                   help="homodyne quadrature phase for the kerr readout")
     return parser
 
 
@@ -359,15 +358,7 @@ def _state_from_opts(opts, dim):
 def _simulate_generic(opts) -> dict:
     dim = _dim(opts)
     q = opts["postselect_q"]
-    pointer = vonneumann.PointerState.gaussian(opts["pointer_sigma"],
-                                               opts["pointer_center"],
-                                               opts["pointer_boost"])
-    current = vonneumann.check_zero_current(pointer)
-    if current.max_violation > 1e-8:
-        raise ValueError(
-            f"pointer violates the zero-current condition (max current density "
-            f"{current.max_violation:.3e} at Q={current.location:.3f}); the "
-            f"first-order readout law does not apply")
+    pointer = vonneumann.PointerState.gaussian(opts["pointer_sigma"])
     rho = _state_from_opts(opts, dim)
     nu = fockspace.make_operator(_OPERATOR_KINDS[opts["observable"]], dim)
     sigma_eta = _sigma(opts)
@@ -398,19 +389,25 @@ def _simulate_generic(opts) -> dict:
 
 
 def _simulate_kerr(opts) -> dict:
+    beta_r, beta_i = opts["beta_r"], opts["beta_i"]
+    if beta_r == 0.0 and beta_i == 0.0:
+        raise ValueError("pointer amplitude beta must be nonzero: the vacuum pointer "
+                         "has no phase for the coupling to shift")
+    # only the quadrature at right angles to beta has a slope free of Im n_w
+    # (Jozsa, PRA 76, 044103 (2007)); pi/2 exactly for real beta > 0
+    phase = math.pi / 2 + math.atan2(beta_i, beta_r)
     dim = _dim(opts)
     rho_a = _state_from_opts(opts, dim)
-    beta = fockspace.alpha_from_quadratures(opts["beta_r"], opts["beta_i"])
-    rho_b = fockspace.coherent_state(beta, dim)
-    res = vonneumann.simulate_cross_kerr(rho_a, rho_b, opts["epsilon"],
-                                         opts["readout_phase"],
+    rho_b = fockspace.coherent_state(fockspace.alpha_from_quadratures(beta_r, beta_i), dim)
+    res = vonneumann.simulate_cross_kerr(rho_a, rho_b, opts["epsilon"], phase,
                                          [opts["postselect_q"]])
     extracted, reference = float(res.extracted_n_w[0]), float(res.reference_re_n_w[0])
     return {"shift_over_epsilon": float(res.shift_over_epsilon[0]),
             "calibration": float(res.calibration[0]),
             "extracted_n_w": extracted,
             "reference_re_weak_value": reference,
-            "relative_deviation": abs(extracted - reference) / max(1.0, abs(reference))}
+            "relative_deviation": abs(extracted - reference) / max(1.0, abs(reference)),
+            "readout_phase": phase}
 
 
 def _simulate_qubit(opts) -> dict:
@@ -427,28 +424,30 @@ def _simulate_qubit(opts) -> dict:
             "sigma_y_response_ratio": float(res.sigma_y_response_ratio[0])}
 
 
-# simulate flags that only the generic impulse reads, with their defaults: the
-# kerr and qubit meters measure n with no postselection kernel
-_GENERIC_ONLY = {"observable": "H", "eta": 1.0}
+# simulate flags that one coupling reads besides the shared ones, with their
+# defaults; the kerr and qubit meters measure n with no postselection kernel
+_COUPLINGS = {
+    "generic": (_simulate_generic, {"observable": "H", "eta": 1.0, "pointer_sigma": 1.0}),
+    "kerr": (_simulate_kerr, {"beta_r": 1.0, "beta_i": 0.0}),
+    "qubit": (_simulate_qubit, {"sx": 1.0, "sy": 0.0}),
+}
 
 
 def cmd_simulate(args) -> int:
     opts = _merge_config(args, {
-        "coupling": "generic", "epsilon": 1e-3, "observable": None,
-        "alpha_r": 1.0, "alpha_i": 0.0, "nth": 0.0, "eta": None, "fock": None,
-        "postselect_q": 0.0, "pointer_sigma": 1.0, "pointer_center": 0.0,
-        "pointer_boost": 0.0, "sx": 1.0, "sy": 0.0, "beta_r": 1.0,
-        "beta_i": 0.0, "readout_phase": math.pi / 2, "dim": None})
-    if opts["coupling"] == "generic":
-        opts.update({k: v for k, v in _GENERIC_ONLY.items() if opts[k] is None})
-        results = _simulate_generic(opts)
-    else:
-        given = [f"--{k}" for k in _GENERIC_ONLY if opts.pop(k) is not None]
-        if given:
-            raise ValueError(f"--coupling {opts['coupling']} does not use "
-                             f"{' or '.join(given)}: it measures n with no "
-                             f"postselection kernel")
-        results = _simulate_kerr(opts) if opts["coupling"] == "kerr" else _simulate_qubit(opts)
+        "coupling": "generic", "epsilon": 1e-3, "alpha_r": 1.0, "alpha_i": 0.0,
+        "nth": 0.0, "fock": None, "postselect_q": 0.0, "dim": None,
+        **{key: None for _, own in _COUPLINGS.values() for key in own}})
+    coupling = opts["coupling"]
+    if coupling not in _COUPLINGS:
+        raise ValueError(f"unknown coupling {coupling!r}: choose {', '.join(_COUPLINGS)}")
+    simulate, own = _COUPLINGS[coupling]
+    given = [f"--{key.replace('_', '-')}" for _, flags in _COUPLINGS.values()
+             for key in flags if key not in own and opts.pop(key) is not None]
+    if given:
+        raise ValueError(f"--coupling {coupling} does not use {' or '.join(given)}")
+    opts.update({key: value for key, value in own.items() if opts[key] is None})
+    results = simulate(opts)
     _emit({**opts, "dim": _dim(opts)}, results)
     return 0
 

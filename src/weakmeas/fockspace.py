@@ -441,9 +441,11 @@ def wavefunction_table(dim: int, q) -> np.ndarray:
     since |psi_n| <= pi^(-1/4); where e^{-q^2/2} underflows (|q| > 37) a column
     holds psi_n 2^-e, integer e < 0, moving 2^512 into e whenever it passes that.
     The coefficients are kept per dim, and each row is written in place by
-    three ufunc calls in the order of the formula.
+    three ufunc calls in the order of the formula.  Every psi_n(q) is zero in
+    doubles long before |q| = 1e9, so q is clipped there, which keeps e in
+    int64 range (lost from |q| of about 3.6e9) and q * q finite.
     """
-    q = np.atleast_1d(np.asarray(q, dtype=float))
+    q = np.clip(np.atleast_1d(np.asarray(q, dtype=float)), -1e9, 1e9)
     out = np.empty((dim, q.size))
     e = np.minimum(0.0, np.ceil((690.0 - 0.5 * q * q) / math.log(2.0))).astype(int)
     far = bool(e.any())

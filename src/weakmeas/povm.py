@@ -11,7 +11,7 @@ so that an imperfect detector reproduces the mean of a perfect one.  Perfect
 (projective) detection is a distinct ``delta`` kind rather than a zero-width
 Gaussian, which keeps every code path free of numerical singularities.
 
-With a Gaussian kernel and no explicit grid, ``postselection_rule`` integrates
+With a Gaussian kernel, ``postselection_rule`` integrates
 psi_m psi_n Pi(phi, .), a polynomial of degree <= 2 dim - 2 times a Gaussian,
 by the Gauss-Hermite rule of dim nodes centred on that Gaussian, which is
 exact (Golub & Welsch, Math. Comp. 23, 221 (1969)) at every efficiency.
@@ -147,17 +147,17 @@ def postselection_rule(kernel: DetectorKernel, phi, dim: int,
     """Nodes x and weights w, one row per phi, with sum_j w[i, j] f(x[i, j]) =
     integral dx Pi(phi_i, x) f(x) for every f = psi_m psi_n, m, n < dim.
 
-    Projective: the node phi_i with weight 1.  Gaussian with no ``grid``: the
-    dim-node Gauss-Hermite rule mapped onto the Gaussian of psi_m psi_n
-    Pi(phi_i, .), exact.  Otherwise ``grid`` (default ``default_grid(dim)``),
-    whose nodes come back as one row shared by every phi.
+    Projective: the node phi_i with weight 1.  Gaussian: the dim-node
+    Gauss-Hermite rule mapped onto the Gaussian of psi_m psi_n Pi(phi_i, .),
+    exact.  Custom: ``grid`` (default ``default_grid(dim)``), whose nodes come
+    back as one row shared by every phi; no other kind reads it.
     """
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     if not np.all(np.isfinite(phi)):
         raise ValueError(f"phi must be finite, got {phi[~np.isfinite(phi)].tolist()}")
     if kernel.is_projective:
         return phi[:, None], np.ones((phi.size, 1))
-    if grid is None and kernel.kind == "gaussian":
+    if kernel.kind == "gaussian":
         # psi_m psi_n times the kernel is a polynomial times
         # exp(-a (x - m)^2), a = 1 + 1/(2 s^2), m = phi/(1 + 2 s^2)
         x, w = hermite_rule(dim)
@@ -181,12 +181,12 @@ def _postselected_forms(kernel: DetectorKernel, phi, dim: int, matrices,
 
 
 def effective_marginal(rho: DensityOperator, kernel: DetectorKernel,
-                       grid: QuadratureGrid):
+                       grid: QuadratureGrid | None = None):
     """Outcome density of an imperfect position measurement.
 
     Returns q -> integral dq' Pi(q, q') <q'|rho|q'>, evaluable anywhere, by
-    ``postselection_rule`` on ``grid``: the exact diagonal density for the
-    projective kind.
+    ``postselection_rule``: exact for a projective or Gaussian kernel, on
+    ``grid`` for a custom one.
     """
     def density(q):
         (out,) = _postselected_forms(kernel, q, rho.dim, [rho.matrix.real], grid)

@@ -341,16 +341,13 @@ def weak_value_from_distribution(rho: DensityOperator, nu: Observable,
 # closed forms for the displaced-thermal family in the (q, p) pair
 
 def thermal_s(q, p, n_th: float):
-    """Closed-form thermal-state quasi-distribution over (q, p).
+    """Closed-form thermal-state quasi-distribution over (q, p): the
+    ``effective_thermal_s`` of a projective detector.
 
     S_th(q, p) = exp[-(2 s^2 (p^2+q^2) - 2 i p q)/(1 + 4 s^4)]
                  / (pi sqrt(1 + 4 s^4)),   s^2 = n_th + 1/2.
     """
-    s2 = n_th + 0.5
-    den = 1.0 + 4.0 * s2 * s2
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    return np.exp(-(2.0 * s2 * (p * p + q * q) - 2.0j * p * q) / den) / (np.pi * math.sqrt(den))
+    return effective_thermal_s(q, p, n_th, 0.0)
 
 
 def effective_thermal_s(q, p, n_th: float, sigma_eta: float):
@@ -372,8 +369,5 @@ def displaced_thermal_s(q, p, alpha_r: float, alpha_i: float, n_th: float,
                         sigma_eta: float = 0.0):
     """Displaced-thermal quasi-distribution: the thermal form shifted to the
     quadrature means (alpha_r, alpha_i)."""
-    q = np.asarray(q, dtype=float) - alpha_r
-    p = np.asarray(p, dtype=float) - alpha_i
-    if sigma_eta == 0.0:
-        return thermal_s(q, p, n_th)
-    return effective_thermal_s(q, p, n_th, sigma_eta)
+    return effective_thermal_s(np.asarray(q, dtype=float) - alpha_r,
+                               np.asarray(p, dtype=float) - alpha_i, n_th, sigma_eta)

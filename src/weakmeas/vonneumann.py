@@ -315,8 +315,7 @@ class JointOutcomeTable:
     def values(self) -> np.ndarray:
         phi, Q, dim = self.phi_grid.points, self.Q_grid.points, self.joint.nu_eigvals.size
         kernel_phi, kernel_Q = self.kernel_phi, self.kernel_Q
-        rule = postselection_rule(kernel_phi, phi, dim,
-                                  self.phi_grid if kernel_phi.kind == "custom" else None)
+        rule = postselection_rule(kernel_phi, phi, dim, self.phi_grid)
         widening = kernel_Q.width_sigma_eta ** 2 if kernel_Q.kind == "gaussian" else 0.0
         density = _density(self.joint, *rule, Q, widening)
         if kernel_Q.kind == "custom":
@@ -394,8 +393,7 @@ def pointer_shift(joint: JointState, kernel_phi: DetectorKernel, phi: float,
     eps = joint.epsilon
     if eps == 0.0:
         raise ValueError("shift extraction needs a nonzero coupling")
-    rule = postselection_rule(kernel_phi, phi, joint.nu_eigvals.size,
-                              grid if kernel_phi.kind == "custom" else None)
+    rule = postselection_rule(kernel_phi, phi, joint.nu_eigvals.size, grid)
     coef = _postselection_matrices(joint, *rule)[0] * joint.state
     pointer, nu = joint.pointer, joint.nu_eigvals
     x = _pair_exponents(pointer, joint.shifts)

@@ -83,9 +83,9 @@ def weak_value(nu: Observable, rho: DensityOperator, kernel: DetectorKernel,
     """Weak value by the trace formula, for any state and Hermitian observable.
 
     With a projective kernel this reduces to <phi|nu rho|phi>/<phi|rho|phi>.
-    The postselection integral is ``postselection_rule``'s: exact Gauss-Hermite
-    for a Gaussian kernel with no ``grid``, else ``grid`` (default
-    ``default_grid(dim)``).
+    The postselection integral is ``postselection_rule``'s: exact for a
+    projective or Gaussian kernel, on ``grid`` (default ``default_grid(dim)``)
+    for a custom one.
     ``phi`` may be an array, in which case an array of weak values is returned.
     """
     if nu.dim != rho.dim:

@@ -1,5 +1,8 @@
 import csv
 import json
+import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,12 +201,13 @@ def test_simulate_generic_mixed_state_imperfect_postselection(capsys):
 
 
 def test_simulate_generic_reads_shift_from_state_alone(capsys, monkeypatch):
-    """The generic route builds no joint table and no phi grid with an
-    inserted node, and its Richardson ratio still reads 4."""
+    """The generic route builds no joint table, no Gauss-Legendre grid and no
+    phi grid with an inserted node, and its Richardson ratio still reads 4."""
     from weakmeas import QuadratureGrid, vonneumann
 
     calls = []
-    for owner, name in ((vonneumann, "joint_distribution"), (QuadratureGrid, "with_points")):
+    for owner, name in ((vonneumann, "joint_distribution"), (QuadratureGrid, "with_points"),
+                        (QuadratureGrid, "gauss_legendre")):
         def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)
@@ -259,14 +263,86 @@ def test_simulate_zero_coupling_reports_alike_on_every_coupling(capsys):
         assert res.get("extracted_n_w") is None
 
 
-@pytest.mark.parametrize("coupling", ["kerr", "qubit"])
+_SHARED = {"coupling", "epsilon", "alpha_r", "alpha_i", "nth", "fock", "postselect_q", "dim"}
+_OWN = {"generic": {"observable", "eta", "pointer_sigma"}, "kerr": {"beta_r", "beta_i"},
+        "qubit": {"sx", "sy"}}
+
+
+@pytest.mark.parametrize("coupling", ["kerr", "qubit", "generic"])
 def test_simulate_discrete_meters_record_no_unused_flags(capsys, coupling):
     code, out, _ = run_cli(capsys, "simulate", "--coupling", coupling, "--alpha-r", "0.5",
                            "--postselect-q", "0.5", "--dim", "16")
     assert code == 0
     params = last_json(out)["params"]
-    assert "eta" not in params and "observable" not in params
+    assert set(params) == _SHARED | _OWN[coupling]
     assert params["coupling"] == coupling
+
+
+@pytest.mark.parametrize("coupling, flags, named", [
+    ("generic", ["--sx", "1"], "--sx"),
+    ("generic", ["--beta-r", "1", "--sy", "0"], "--beta-r or --sy"),
+    ("kerr", ["--pointer-sigma", "2"], "--pointer-sigma"),
+    ("kerr", ["--sy", "0.5"], "--sy"),
+    ("qubit", ["--beta-i", "0.5"], "--beta-i"),
+    ("qubit", ["--pointer-sigma", "1"], "--pointer-sigma"),
+])
+def test_simulate_refuses_another_couplings_flag_by_flag_and_config(capsys, tmp_path,
+                                                                    coupling, flags, named):
+    code, out, err = run_cli(capsys, "simulate", "--coupling", coupling, *flags,
+                             "--dim", "16")
+    assert code == 2 and out == ""
+    assert f"--coupling {coupling} does not use {named}" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"coupling": coupling,
+                               **{flag[2:].replace("-", "_"): float(value)
+                                  for flag, value in zip(flags[::2], flags[1::2])}}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "simulate", "--dim", "16")
+    assert code == 2 and out == ""
+    assert f"--coupling {coupling} does not use {named}" in err
+
+
+def test_simulate_refuses_unknown_coupling_from_config(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"coupling": "optomechanical"}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "simulate", "--dim", "16")
+    assert code == 2 and out == ""
+    assert "unknown coupling 'optomechanical'" in err
+
+
+@pytest.mark.parametrize("flag", ["--readout-phase", "--pointer-center", "--pointer-boost"])
+def test_simulate_deleted_flags_are_unrecognized(capsys, flag):
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--coupling", "kerr", flag, "0.4", "--dim", "16"])
+    assert err.value.code == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+# the Motivation state of the kerr meter: complex alpha, thermal, off-centre q
+_KERR_STATE = ["--alpha-r", "1", "--alpha-i", "0.3", "--nth", "0.2", "--postselect-q", "-1",
+               "--epsilon", "1e-4"]
+
+
+@pytest.mark.parametrize("beta_r, beta_i", [(1.0, 0.5), (1.0, 1.0), (0.0, 1.0), (-1.0, 0.3),
+                                            (1.5, 0.0)])
+def test_simulate_kerr_reads_the_quadrature_at_right_angles_to_beta(capsys, beta_r, beta_i):
+    """A complex beta needs the readout phase pi/2 + arg beta: at pi/2 the slope
+    carries an Im n_w term, 0.21 off at beta = 1 + 0.5i and 8570 at beta = i."""
+    code, out, _ = run_cli(capsys, "simulate", "--coupling", "kerr", *_KERR_STATE,
+                           "--beta-r", str(beta_r), "--beta-i", str(beta_i))
+    assert code == 0
+    res = last_json(out)["results"]
+    ref = res["reference_re_weak_value"]
+    # the benchmark's first-order bound, 20 eps (1 + |Re n_w|)
+    assert abs(res["extracted_n_w"] - ref) <= 20 * 1e-4 * (1.0 + abs(ref))
+    # pi/2 bit for bit at real beta > 0
+    assert res["readout_phase"] == math.pi / 2 + math.atan2(beta_i, beta_r)
+
+
+def test_simulate_kerr_refuses_vacuum_pointer(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--coupling", "kerr", "--beta-r", "0",
+                             "--dim", "16")
+    assert code == 2 and out == ""
+    assert "pointer amplitude beta must be nonzero" in err
 
 
 @pytest.mark.parametrize("coupling", ["kerr", "qubit"])
@@ -328,13 +404,6 @@ def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "weak-value", "--eta", "1.5")
     assert code == 2
     assert "efficiency" in err
-
-
-def test_boosted_pointer_rejected(capsys):
-    code, _, err = run_cli(capsys, "simulate", "--coupling", "generic",
-                           "--pointer-boost", "0.4", "--dim", "16")
-    assert code == 2
-    assert "zero-current" in err
 
 
 def test_dim_env_override(capsys, monkeypatch):
@@ -457,3 +526,21 @@ def test_distribution_smear_defect_is_null_when_grid_cannot_probe(capsys, tmp_pa
     results = last_json(out)["results"]
     assert "smear_normalization_defect" in results
     assert results["smear_normalization_defect"] is None
+
+
+def _readme_cli_commands():
+    """The ``weakmeas ...`` lines of the README's CLI block, continuations joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("weakmeas ")]
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the commands write their files into the cwd
+    commands = _readme_cli_commands()
+    assert len(commands) >= 6
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert set(last_json(out)) == {"params", "results"}

@@ -346,6 +346,16 @@ def test_wavefunction_table_past_gaussian_underflow(q):
     assert np.max(np.abs(table[normal] - ref[normal]) / np.abs(ref[normal])) < 1e-9
 
 
+def test_wavefunction_table_is_zero_without_warning_at_huge_q():
+    """Far past any dim's support the table is zeros, and neither q * q nor
+    the power-of-two exponent overflows on the way there."""
+    q = np.array([1e9, -1e10, 1e154, -1e300, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = wavefunction_table(40, q)
+    assert table.shape == (40, 5) and not table.any()
+
+
 @pytest.mark.parametrize("dim", [40, 120])
 def test_displacement_operator_matches_expm(dim):
     a = np.diag(np.sqrt(np.arange(1.0, dim)), k=1)

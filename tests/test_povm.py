@@ -133,6 +133,23 @@ def test_effective_marginal_adds_detector_variance():
     assert var == pytest.approx(1.0, abs=1e-8)  # 1/2 thermal + 1/2 detector
 
 
+def test_gaussian_kernel_takes_the_exact_rule_with_or_without_grid():
+    """A grid serves a custom kernel only: a Gaussian kernel's rule ignores it,
+    and ``effective_marginal`` needs none to meet the closed-form marginal."""
+    dim, phi = 40, np.array([-1.0, 0.5, 2.0])
+    fine = default_grid(dim=dim, points=900)
+    kernel = gaussian_kernel(0.3)
+    for got, want in zip(postselection_rule(kernel, phi, dim, fine),
+                         postselection_rule(kernel, phi, dim)):
+        assert np.array_equal(got, want)
+    custom = custom_kernel(kernel.func, 0.3)
+    assert postselection_rule(custom, phi, dim, fine)[0].shape == (1, fine.size)
+    rho = displaced_thermal_state(alpha_from_quadratures(1.0, 0.0), 0.4, dim)
+    density = effective_marginal(rho, kernel)
+    exact = marginal_density(phi, 1.0, 0.4, 0.3)
+    assert np.max(np.abs(density(phi) - exact)) < 1e-12
+
+
 def test_effective_marginal_vacuum_peak():
     rho = coherent_state(0.0, 20)
     density = effective_marginal(rho, gaussian_kernel(0.0), default_grid(dim=20))
@@ -189,9 +206,9 @@ def test_postselection_rule_integrates_every_wavefunction_product():
         kernel = gaussian_kernel(sigma)
         nodes, weights = postselection_rule(kernel, phi, dim)
         assert nodes.shape == weights.shape == (phi.size, dim)
-        ref_nodes, ref_weights = postselection_rule(kernel, phi, dim, fine)
-        assert ref_nodes.shape == (1, fine.size)
-        assert ref_weights.shape == (phi.size, fine.size)
+        # the reference: the kernel times the fine grid's weights, one shared row
+        ref_nodes = fine.points[None, :]
+        ref_weights = kernel(phi[:, None], ref_nodes) * fine.weights
         err = (_product_integrals(nodes, weights, dim)
                - _product_integrals(ref_nodes, ref_weights, dim))
         assert np.max(np.abs(err)) < 1e-12
