@@ -15,7 +15,6 @@ from .fockspace import (
     TruncationWarning,
     alpha_from_quadratures,
     coherent_state,
-    default_dim,
     default_grid,
     displaced_thermal_state,
     glauber_p_displaced_thermal,

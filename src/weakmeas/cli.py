@@ -6,13 +6,14 @@ significant digits so CSV output round-trips to the exact double.  Exit
 codes: 0 success, 1 usage error, 2 numerical-domain error, such as a
 non-finite number in any flag, or a weak value whose closed form and trace
 formula differ by more than ``TRACE_TOL`` in their real parts.  A flat JSON
-config file can preload any flag (``--config``); explicit flags win.  The
-environment variable WEAKMEAS_DIM overrides the default Fock truncation.
-``simulate`` couplings share the state flags, ``--epsilon``, ``--fock``,
-``--dim`` and ``--postselect-q``; besides those, each reads only its own
-(``_COUPLINGS``) and refuses another coupling's, by flag or config, with exit
-2.  The kerr meter reads the quadrature at right angles to its pointer
-amplitude beta, which must be nonzero.
+config file can preload any flag of the command (``--config``); explicit
+flags win, and a key the command does not read exits 2.  The Fock truncation
+is 40 unless ``--dim`` or the config's ``dim`` sets it.  ``simulate``
+couplings share the state flags, ``--epsilon``, ``--fock``, ``--dim`` and
+``--postselect-q``; besides those, each reads only its own (``_COUPLINGS``)
+and refuses another coupling's, by flag or config, with exit 2.  The kerr
+meter reads the quadrature at right angles to its pointer amplitude beta,
+which must be nonzero.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = ["main", "build_parser", "FIGURES", "summarize_distribution_rows"]
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
 TRACE_TOL = 1e-6  # closed form against the dim-truncated trace formula, Re parts
+DEFAULT_DIM = 40
 
 _PROFILE_BUILDERS = {
     "p2": weakvalues.p2_closed_profile,
@@ -92,7 +94,7 @@ def _add_state_flags(p):
     p.add_argument("--eta", type=float, default=None,
                    help="detector quantum efficiency in (0, 1]")
     p.add_argument("--dim", type=int, default=None,
-                   help="Fock truncation (default 40 or WEAKMEAS_DIM)")
+                   help=f"Fock truncation (default {DEFAULT_DIM})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,13 +148,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flag value if given, else config value, else built-in default."""
+    """Flag value if given, else config value, else built-in default; a
+    config key outside ``defaults`` is refused."""
     cfg = {}
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a flat JSON object")
+    unread = sorted(set(cfg) - set(defaults))
+    if unread:
+        raise ValueError(f"{args.command} does not read config key {' or '.join(unread)}")
     merged = {}
     for key, fallback in defaults.items():
         flag = getattr(args, key, None)
@@ -164,9 +170,7 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _dim(opts) -> int:
-    dim = opts.get("dim")
-    if dim is None:
-        return fockspace.default_dim()
+    dim = opts["dim"]
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     return dim
@@ -192,7 +196,7 @@ def _emit(params: dict, results: dict) -> None:
 
 def cmd_weak_value(args) -> int:
     opts = _merge_config(args, {"observable": "H", "alpha_r": 0.0, "alpha_i": 0.0,
-                                "nth": 0.0, "eta": 1.0, "q": 0.0, "dim": None})
+                                "nth": 0.0, "eta": 1.0, "q": 0.0, "dim": DEFAULT_DIM})
     sigma_eta = _sigma(opts)
     profile = _PROFILE_BUILDERS[opts["observable"]](
         opts["alpha_r"], opts["alpha_i"], opts["nth"], sigma_eta)
@@ -215,7 +219,7 @@ def cmd_weak_value(args) -> int:
                          f"at dim {dim}: the Fock truncation is too small for this state")
     density = weakvalues.marginal_density(opts["q"], opts["alpha_r"], opts["nth"],
                                           sigma_eta)
-    _emit({**opts, "dim": dim, "sigma_eta": sigma_eta},
+    _emit({**opts, "sigma_eta": sigma_eta},
           {"re": value.real, "im": value.imag,
            "re_trace_formula": trace_value.real, "im_trace_formula": trace_value.imag,
            "classification": classification,
@@ -301,7 +305,7 @@ def cmd_distribution(args) -> int:
     opts = _merge_config(args, {"kind": "T", "xi_basis": "fock", "alpha_r": 0.0,
                                 "alpha_i": 0.0, "nth": 0.0, "eta": 1.0,
                                 "points": 200, "output": "distribution.csv",
-                                "dim": None})
+                                "dim": DEFAULT_DIM})
     if opts["points"] < 1:
         raise ValueError(f"--points must be >= 1, got {opts['points']}")
     dim = _dim(opts)
@@ -339,7 +343,7 @@ def cmd_distribution(args) -> int:
     scan_src = dist if dist.is_real_kind else quasiprob.t_distribution(dist)
     scan = quasiprob.negativity_scan(scan_src)
     results["negative_mass_fraction"] = scan.negative_mass_fraction
-    _emit({**opts, "dim": dim}, results)
+    _emit(opts, results)
     return 0
 
 
@@ -436,7 +440,7 @@ _COUPLINGS = {
 def cmd_simulate(args) -> int:
     opts = _merge_config(args, {
         "coupling": "generic", "epsilon": 1e-3, "alpha_r": 1.0, "alpha_i": 0.0,
-        "nth": 0.0, "fock": None, "postselect_q": 0.0, "dim": None,
+        "nth": 0.0, "fock": None, "postselect_q": 0.0, "dim": DEFAULT_DIM,
         **{key: None for _, own in _COUPLINGS.values() for key in own}})
     coupling = opts["coupling"]
     if coupling not in _COUPLINGS:
@@ -447,8 +451,7 @@ def cmd_simulate(args) -> int:
     if given:
         raise ValueError(f"--coupling {coupling} does not use {' or '.join(given)}")
     opts.update({key: value for key, value in own.items() if opts[key] is None})
-    results = simulate(opts)
-    _emit({**opts, "dim": _dim(opts)}, results)
+    _emit(opts, simulate(opts))
     return 0
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -34,7 +33,6 @@ __all__ = [
     "DensityOperator",
     "Observable",
     "QuadratureGrid",
-    "default_dim",
     "alpha_from_quadratures",
     "make_operator",
     "displacement_operator",
@@ -48,8 +46,6 @@ __all__ = [
     "glauber_p_displaced_thermal",
     "default_grid",
 ]
-
-DEFAULT_DIM = 40
 
 # numerical tolerances for state validation; PSD allows the tiny negative
 # eigenvalues produced by truncation + renormalization
@@ -70,17 +66,6 @@ OPERATOR_KINDS = (
 
 class TruncationWarning(UserWarning):
     """Fock-space truncation is likely inadequate for the requested state."""
-
-
-def default_dim() -> int:
-    """Default Fock truncation; WEAKMEAS_DIM overrides the built-in 40."""
-    env = os.environ.get("WEAKMEAS_DIM")
-    if env is None:
-        return DEFAULT_DIM
-    dim = int(env)
-    if dim < 2:
-        raise ValueError(f"WEAKMEAS_DIM must be >= 2, got {dim}")
-    return dim
 
 
 def alpha_from_quadratures(alpha_r: float, alpha_i: float) -> complex:

@@ -14,7 +14,9 @@ Gaussian, which keeps every code path free of numerical singularities.
 With a Gaussian kernel, ``postselection_rule`` integrates
 psi_m psi_n Pi(phi, .), a polynomial of degree <= 2 dim - 2 times a Gaussian,
 by the Gauss-Hermite rule of dim nodes centred on that Gaussian, which is
-exact (Golub & Welsch, Math. Comp. 23, 221 (1969)) at every efficiency.
+exact (Golub & Welsch, Math. Comp. 23, 221 (1969)) at every efficiency.  A
+custom kernel carries the grid that integrates it, so the kernel alone fixes
+the postselection integral on every route.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fockspace import (DensityOperator, QuadratureGrid, _psi_form, default_grid, hermite_rule,
-                        wavefunction_table)
+from .fockspace import DensityOperator, QuadratureGrid, _psi_form, hermite_rule, wavefunction_table
 
 __all__ = [
     "DetectorKernel",
@@ -48,12 +49,18 @@ class DetectorKernel:
 
     ``func(phi, phi_prime)`` evaluates the outcome density; it broadcasts
     over numpy arrays.  ``func`` is None for the projective kind, whose
-    smearing is the identity by definition.
+    smearing is the identity by definition.  ``grid`` integrates a custom
+    kernel over the true value; the other kinds need none.
     """
 
     kind: str  # gaussian | delta | custom
     width_sigma_eta: float
     func: Callable | None
+    grid: QuadratureGrid | None = None
+
+    def __post_init__(self):
+        if self.kind == "custom" and not isinstance(self.grid, QuadratureGrid):
+            raise TypeError("a custom kernel needs the QuadratureGrid that integrates it")
 
     @property
     def is_projective(self) -> bool:
@@ -87,9 +94,11 @@ def delta_kernel() -> DetectorKernel:
     return DetectorKernel("delta", 0.0, None)
 
 
-def custom_kernel(func: Callable, width_sigma_eta: float = math.nan) -> DetectorKernel:
-    """Wrap a user kernel func(phi, phi_prime); validity is checked, not assumed."""
-    return DetectorKernel("custom", width_sigma_eta, func)
+def custom_kernel(func: Callable, width_sigma_eta: float = math.nan, *,
+                  grid: QuadratureGrid) -> DetectorKernel:
+    """Wrap a user kernel func(phi, phi_prime) with the grid that integrates it
+    over phi_prime on every route; validity is checked, not assumed."""
+    return DetectorKernel("custom", width_sigma_eta, func, grid)
 
 
 def sigma_from_efficiency(eta: float) -> float:
@@ -142,15 +151,14 @@ def validate(kernel: DetectorKernel, grid: QuadratureGrid) -> ValidationReport:
     return ValidationReport(norm_defect, bias_defect)
 
 
-def postselection_rule(kernel: DetectorKernel, phi, dim: int,
-                       grid: QuadratureGrid | None = None) -> tuple[np.ndarray, np.ndarray]:
+def postselection_rule(kernel: DetectorKernel, phi, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x and weights w, one row per phi, with sum_j w[i, j] f(x[i, j]) =
     integral dx Pi(phi_i, x) f(x) for every f = psi_m psi_n, m, n < dim.
 
     Projective: the node phi_i with weight 1.  Gaussian: the dim-node
     Gauss-Hermite rule mapped onto the Gaussian of psi_m psi_n Pi(phi_i, .),
-    exact.  Custom: ``grid`` (default ``default_grid(dim)``), whose nodes come
-    back as one row shared by every phi; no other kind reads it.
+    exact.  Custom: the kernel's own grid, whose nodes come back as one row
+    shared by every phi.
     """
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     if not np.all(np.isfinite(phi)):
@@ -165,31 +173,28 @@ def postselection_rule(kernel: DetectorKernel, phi, dim: int,
         root_a = math.sqrt(1.0 + 0.5 / s2)
         nodes, weights = (phi / (1.0 + 2.0 * s2))[:, None] + x / root_a, w / root_a
     else:
-        grid = grid or default_grid(dim=dim)
-        nodes, weights = grid.points[None, :], grid.weights
+        nodes, weights = kernel.grid.points[None, :], kernel.grid.weights
     return nodes, kernel(phi[:, None], nodes) * weights
 
 
-def _postselected_forms(kernel: DetectorKernel, phi, dim: int, matrices,
-                        grid: QuadratureGrid | None = None) -> np.ndarray:
+def _postselected_forms(kernel: DetectorKernel, phi, dim: int, matrices) -> np.ndarray:
     """sum_j w[i, j] psi(x[i, j])^T A psi(x[i, j]) per real A in ``matrices`` and
     per phi_i, by ``postselection_rule`` and one ``wavefunction_table`` for all A."""
-    nodes, weights = postselection_rule(kernel, phi, dim, grid)
+    nodes, weights = postselection_rule(kernel, phi, dim)
     table = wavefunction_table(dim, nodes.ravel())
     return np.array([np.sum(weights * _psi_form(a, table).reshape(nodes.shape), axis=1)
                      for a in matrices])
 
 
-def effective_marginal(rho: DensityOperator, kernel: DetectorKernel,
-                       grid: QuadratureGrid | None = None):
+def effective_marginal(rho: DensityOperator, kernel: DetectorKernel):
     """Outcome density of an imperfect position measurement.
 
     Returns q -> integral dq' Pi(q, q') <q'|rho|q'>, evaluable anywhere, by
     ``postselection_rule``: exact for a projective or Gaussian kernel, on
-    ``grid`` for a custom one.
+    its own grid for a custom one.
     """
     def density(q):
-        (out,) = _postselected_forms(kernel, q, rho.dim, [rho.matrix.real], grid)
+        (out,) = _postselected_forms(kernel, q, rho.dim, [rho.matrix.real])
         return float(out[0]) if np.ndim(q) == 0 else out
 
     return density

@@ -314,10 +314,9 @@ def weak_value_from_distribution(rho: DensityOperator, nu: Observable,
     by the smeared distribution mass.  The product S_nu * S equals
     <phi|nu|xi><xi|rho|phi> with no overlap division, so points where the
     representation alone would be undefined contribute their finite limit.
-    The phi integral takes the nodes and weights of ``postselection_rule``
-    with no grid: the single row at phi when projective, the exact
-    Gauss-Hermite rows for a Gaussian kernel, and for a custom kernel the rows
-    of ``default_grid(dim)``, the phi grid a ``BasisPair`` builds by default.
+    The phi integral takes the nodes and weights of ``postselection_rule``:
+    the single row at phi when projective, the exact Gauss-Hermite rows for a
+    Gaussian kernel, and for a custom kernel the row of its own grid.
     """
     (rows,), (row_weights,) = postselection_rule(kernel, phi, basis.dim)
     psi = wavefunction_table(basis.dim, rows)

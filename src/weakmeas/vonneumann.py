@@ -17,7 +17,7 @@ builds its ``values`` on first access from that closed form, widened by a
 Gaussian Q kernel, and the exact postselection rule on its phi axis.
 ``pointer_shift`` is the one pointer readout: it reads the shift from the
 evolved state alone, a closed form in the pair overlaps over the same rule,
-with no table and no grid for a projective or Gaussian phi kernel.
+with no table.
 ``conditional_pointer_shift`` only looks up a node of a table's phi axis.
 
 Pointers may be arbitrary Gaussian mixtures.  The first-order readout law
@@ -298,7 +298,8 @@ class JointOutcomeTable:
     (n_phi, n_Q) ``values`` are built on first access and kept: the phi axis
     by ``postselection_rule``, exact for a projective or Gaussian kernel, the
     Q axis by the pair Gaussians, widened by a Gaussian Q kernel.  A custom
-    kernel takes its weights on the table's grid of that axis.
+    kernel of either axis integrates on its own grid; the table's grids are
+    the output points only.
     """
 
     joint: JointState
@@ -313,14 +314,12 @@ class JointOutcomeTable:
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        phi, Q, dim = self.phi_grid.points, self.Q_grid.points, self.joint.nu_eigvals.size
-        kernel_phi, kernel_Q = self.kernel_phi, self.kernel_Q
-        rule = postselection_rule(kernel_phi, phi, dim, self.phi_grid)
-        widening = kernel_Q.width_sigma_eta ** 2 if kernel_Q.kind == "gaussian" else 0.0
-        density = _density(self.joint, *rule, Q, widening)
-        if kernel_Q.kind == "custom":
-            density = density @ postselection_rule(kernel_Q, Q, dim, self.Q_grid)[1].T
-        return density
+        dim, kernel_Q = self.joint.nu_eigvals.size, self.kernel_Q
+        rule = postselection_rule(self.kernel_phi, self.phi_grid.points, dim)
+        if kernel_Q.kind != "custom":  # a projective kernel has width 0
+            return _density(self.joint, *rule, self.Q_grid.points, kernel_Q.width_sigma_eta ** 2)
+        (nodes,), weights = postselection_rule(kernel_Q, self.Q_grid.points, dim)
+        return _density(self.joint, *rule, nodes) @ weights.T
 
     def total_mass(self) -> float:
         return float(self.phi_grid.weights @ self.values @ self.Q_grid.weights)
@@ -371,16 +370,14 @@ def _node(table: JointOutcomeTable, phi: float) -> int:
     return int(idx[0])
 
 
-def pointer_shift(joint: JointState, kernel_phi: DetectorKernel, phi: float,
-                  grid: QuadratureGrid | None = None) -> float:
+def pointer_shift(joint: JointState, kernel_phi: DetectorKernel, phi: float) -> float:
     """[E_eps(Q|phi) - E_0(Q|phi)] / eps, the pointer estimate of Re nu_w(phi),
     read from the evolved state alone.  A projective or Gaussian Q readout is
     normalized and unbiased, so E(Q|phi) is the pointer mean; E_0 = sum_c w_c c_c.
 
-    With C the postselection matrix by the exact postselection rule (``grid``,
-    default ``default_grid(dim)``, serves a custom phi kernel only) and s_j = eps nu_j,
-    the shift is one contraction, with no subtraction of two means: since
-    sum_c w_c (c_c - E_0) = 0,
+    With C the postselection matrix by the kernel's postselection rule and
+    s_j = eps nu_j, the shift is one contraction, with no subtraction of two
+    means: since sum_c w_c (c_c - E_0) = 0,
 
         shift = Re sum C o N / Re sum C o M0,
         N  = sum_c w_c [(c_c - E_0) expm1(x_c)/eps + (nu_j + nu_l)/2 e^{x_c}],
@@ -393,7 +390,7 @@ def pointer_shift(joint: JointState, kernel_phi: DetectorKernel, phi: float,
     eps = joint.epsilon
     if eps == 0.0:
         raise ValueError("shift extraction needs a nonzero coupling")
-    rule = postselection_rule(kernel_phi, phi, joint.nu_eigvals.size, grid)
+    rule = postselection_rule(kernel_phi, phi, joint.nu_eigvals.size)
     coef = _postselection_matrices(joint, *rule)[0] * joint.state
     pointer, nu = joint.pointer, joint.nu_eigvals
     x = _pair_exponents(pointer, joint.shifts)
@@ -409,8 +406,8 @@ def pointer_shift(joint: JointState, kernel_phi: DetectorKernel, phi: float,
 
 def conditional_pointer_shift(table: JointOutcomeTable, phi: float,
                               baseline: JointOutcomeTable) -> float:
-    """``pointer_shift`` of the table's state at a node of its phi axis, with
-    the table's phi grid serving a custom phi kernel.
+    """``pointer_shift`` of the table's state and phi kernel at a node of its
+    phi axis.
 
     ``baseline`` is the eps = 0 table and enters no number; one at another
     eps is refused.  So is a custom Q kernel: it may be biased, so the
@@ -421,8 +418,7 @@ def conditional_pointer_shift(table: JointOutcomeTable, phi: float,
     if table.kernel_Q.kind == "custom":
         raise ValueError("a custom Q kernel may be biased, so its readout shift is not "
                          "the pointer shift; read it from table.values")
-    return pointer_shift(table.joint, table.kernel_phi,
-                         table.phi_grid.points[_node(table, phi)], table.phi_grid)
+    return pointer_shift(table.joint, table.kernel_phi, table.phi_grid.points[_node(table, phi)])
 
 
 # ---------------------------------------------------------------------------
@@ -494,13 +490,12 @@ def simulate_cross_kerr(rho_a_mode: DensityOperator, rho_b_pointer: DensityOpera
 
     # calibration: with mode a in the one-photon state the weak value is 1 at
     # every postselection, and rho o K_R keeps only K_R[1, 1], so the pointer
-    # is the same at every q and its mean is Re K_quad[1, 1] / Re K_1[1, 1]
-    cal_mean = kernels[0][1, 1].real / kernels[1][1, 1].real
-    cal_value = float(cal_mean - base[0]) / epsilon
-    if abs(cal_value) < 1e-12:
-        raise ValueError("calibration response vanishes; pick a readout phase with "
-                         "nonzero quadrature sensitivity for this pointer state")
-    cal = np.full(q.size, cal_value)
+    # is the same at every q and its mean is Re K_quad[1, 1] / Re K_1[1, 1];
+    # refused within the round-off of Tr(rho_b x_theta), as for a number state
+    response = float(kernels[0][1, 1].real / kernels[1][1, 1].real - base[0])
+    if abs(response) <= 64 * np.finfo(float).eps * np.sum(np.abs(rho_b_pointer.matrix * quad.T)):
+        raise ValueError("calibration response vanishes: no coupling moves this pointer mean")
+    cal = np.full(q.size, response / epsilon)
     return CrossKerrResult(q, float(epsilon), theta, base, evolved, shift, cal,
                            shift / cal, ref)
 
@@ -536,6 +531,8 @@ def simulate_qubit_pointer(rho_s: DensityOperator, qubit: PointerState,
     """
     if qubit.kind != "qubit":
         raise UnsupportedPointerError("this coupling needs a qubit pointer")
+    if qubit.s_x == 0.0 and qubit.s_y == 0.0:
+        raise ValueError("Bloch vector must be nonzero: a maximally mixed atom has no phase")
     epsilon = _finite_coupling(epsilon)
     q = np.atleast_1d(np.asarray(postselect_q, dtype=float))
     ref = weak_value(make_operator("number", rho_s.dim), rho_s, delta_kernel(), q).real

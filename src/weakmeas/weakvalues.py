@@ -39,12 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockspace import (
-    DensityOperator,
-    Observable,
-    QuadratureGrid,
-    leggauss,
-)
+from .fockspace import DensityOperator, Observable, leggauss
 from .povm import DetectorKernel, _postselected_forms
 
 __all__ = [
@@ -78,14 +73,12 @@ def marginal_density(q, alpha_r: float, n_th: float, sigma_eta: float):
     return np.exp(-((q - alpha_r) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
-def weak_value(nu: Observable, rho: DensityOperator, kernel: DetectorKernel,
-               phi, grid: QuadratureGrid | None = None):
+def weak_value(nu: Observable, rho: DensityOperator, kernel: DetectorKernel, phi):
     """Weak value by the trace formula, for any state and Hermitian observable.
 
     With a projective kernel this reduces to <phi|nu rho|phi>/<phi|rho|phi>.
     The postselection integral is ``postselection_rule``'s: exact for a
-    projective or Gaussian kernel, on ``grid`` (default ``default_grid(dim)``)
-    for a custom one.
+    projective or Gaussian kernel, on its own grid for a custom one.
     ``phi`` may be an array, in which case an array of weak values is returned.
     """
     if nu.dim != rho.dim:
@@ -93,7 +86,7 @@ def weak_value(nu: Observable, rho: DensityOperator, kernel: DetectorKernel,
     scalar = np.ndim(phi) == 0
     nu_rho = nu.matrix @ rho.matrix
     re, im, den = _postselected_forms(kernel, phi, rho.dim,
-                                      [nu_rho.real, nu_rho.imag, rho.matrix.real], grid)
+                                      [nu_rho.real, nu_rho.imag, rho.matrix.real])
     if np.any(den < 1e-14):
         bad = np.atleast_1d(phi)[den < 1e-14]
         raise UndefinedWeakValueError(

@@ -153,7 +153,7 @@ def test_criterion_06_conditional_expectation_equivalence(rng):
         sigma = float(rng.uniform(0.0, 0.8))
         kernel = gaussian_kernel(sigma) if sigma > 0.05 else delta_kernel()
         lhs = weak_value_from_distribution(rho, nu, basis, kernel, phi)
-        rhs = weak_value(nu, rho, kernel, phi, grid=basis.phi_grid)
+        rhs = weak_value(nu, rho, kernel, phi)
         worst = max(worst, abs(lhs - rhs))
     ok = worst < 1e-8
     _report(6, "distribution-route weak value equals trace formula", ok,
@@ -264,7 +264,7 @@ def test_criterion_08_undisturbed_postselection_marginal():
     nu = make_operator("hamiltonian", dim)
     kernel_phi = gaussian_kernel(0.3)
     phi_grid = default_grid(dim=dim, points=300)
-    exact = effective_marginal(rho, kernel_phi, phi_grid)(phi_grid.points)
+    exact = effective_marginal(rho, kernel_phi)(phi_grid.points)
 
     def deviation(eps):
         joint = evolve_exact(rho, PointerState.gaussian(), nu, eps)

@@ -133,6 +133,23 @@ def test_config_file_preloads_flags(capsys, tmp_path):
     assert last_json(out)["results"]["re"] == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("command, config, named", [
+    (["simulate", "--dim", "16"], {"coupling": "kerr", "readout_phase": 0.7, "pointer_boost": 3},
+     "simulate does not read config key pointer_boost or readout_phase"),
+    (["weak-value"], {"q": 0.5, "points": 10}, "weak-value does not read config key points"),
+    (["figure", "h_ideal"], {"figure_id": "h_noisy"},
+     "figure does not read config key figure_id"),
+], ids=["simulate", "weak-value", "figure"])
+def test_config_key_the_command_does_not_read_is_refused(capsys, tmp_path, monkeypatch,
+                                                         command, config, named):
+    monkeypatch.chdir(tmp_path)  # figure writes into the cwd
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "--config", str(cfg), *command)
+    assert code == 2 and out == "" and named in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_distribution_thermal_negativity_and_marginals(capsys, tmp_path):
     path = tmp_path / "dist.csv"
     code, out, _ = run_cli(capsys, "distribution", "--kind", "T", "--xi-basis",
@@ -338,6 +355,29 @@ def test_simulate_kerr_reads_the_quadrature_at_right_angles_to_beta(capsys, beta
     assert res["readout_phase"] == math.pi / 2 + math.atan2(beta_i, beta_r)
 
 
+def test_simulate_kerr_reads_a_tiny_pointer_amplitude(capsys):
+    """At beta = 1e-13 the calibration is about 1e-13, far above its own
+    round-off, so the meter is read and is exact to first order."""
+    code, out, err = run_cli(capsys, "simulate", "--coupling", "kerr", "--beta-r", "1e-13")
+    assert code == 0, err
+    res = last_json(out)["results"]
+    ref = res["reference_re_weak_value"]
+    assert abs(res["extracted_n_w"] - ref) <= 20 * 1e-3 * (1.0 + abs(ref))
+
+
+@pytest.mark.parametrize("sx, code", [("0", 2), ("1e-14", 0)])
+def test_simulate_qubit_refuses_a_zero_bloch_vector(capsys, sx, code):
+    got, out, err = run_cli(capsys, "simulate", "--coupling", "qubit", "--sx", sx, "--sy", "0",
+                            "--dim", "16")
+    assert got == code
+    if code:
+        assert out == "" and "Bloch vector must be nonzero" in err
+    else:
+        res = last_json(out)["results"]
+        ref = res["reference_re_weak_value"]
+        assert abs(res["extracted_n_w"] - ref) <= 20 * 1e-3 * (1.0 + abs(ref))
+
+
 def test_simulate_kerr_refuses_vacuum_pointer(capsys):
     code, out, err = run_cli(capsys, "simulate", "--coupling", "kerr", "--beta-r", "0",
                              "--dim", "16")
@@ -404,13 +444,6 @@ def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "weak-value", "--eta", "1.5")
     assert code == 2
     assert "efficiency" in err
-
-
-def test_dim_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("WEAKMEAS_DIM", "24")
-    _, out, _ = run_cli(capsys, "weak-value", "--observable", "H",
-                        "--alpha-r", "1", "--q", "0")
-    assert last_json(out)["params"]["dim"] == 24
 
 
 @pytest.mark.parametrize("argv", [

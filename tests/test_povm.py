@@ -33,7 +33,7 @@ def test_zero_width_is_projective():
     assert k.is_projective
     rho = coherent_state(0.0, 10)
     grid = default_grid(dim=10)
-    density = effective_marginal(rho, k, grid)
+    density = effective_marginal(rho, k)
     exact = position_density(rho, grid.points)
     assert np.max(np.abs(density(grid.points) - exact)) < 1e-14
 
@@ -89,13 +89,15 @@ def _kink_aligned_grid():
 
 
 def test_symmetric_triangle_kernel_passes():
-    report = validate(custom_kernel(_triangle(0.0), 0.5), _kink_aligned_grid())
+    grid = _kink_aligned_grid()
+    report = validate(custom_kernel(_triangle(0.0), 0.5, grid=grid), grid)
     assert report.max_normalization_defect < 1e-10
     assert report.max_bias_defect < 1e-10
 
 
 def test_shifted_triangle_kernel_flags_bias():
-    report = validate(custom_kernel(_triangle(0.2), 0.5), _kink_aligned_grid())
+    grid = _kink_aligned_grid()
+    report = validate(custom_kernel(_triangle(0.2), 0.5, grid=grid), grid)
     assert report.max_normalization_defect < 1e-10
     assert report.max_bias_defect == pytest.approx(0.2, abs=1e-10)
 
@@ -108,15 +110,15 @@ def test_variable_width_gaussian_family_is_admissible():
         return np.exp(-((np.asarray(phi) - phi_prime) ** 2) / (2 * sigma**2)) \
             / (np.sqrt(2 * np.pi) * sigma)
 
-    report = validate(custom_kernel(func, 0.35), default_grid(dim=2, points=900))
+    grid = default_grid(dim=2, points=900)
+    report = validate(custom_kernel(func, 0.35, grid=grid), grid)
     assert report.max_normalization_defect < 1e-10
     assert report.max_bias_defect < 1e-10
 
 
 def test_effective_marginal_ideal_detector_gaussian():
     rho = displaced_thermal_state(alpha_from_quadratures(1.0, 0.0), 0.0, 40)
-    grid = default_grid(dim=40)
-    density = effective_marginal(rho, gaussian_kernel(0.0), grid)
+    density = effective_marginal(rho, gaussian_kernel(0.0))
     q = np.linspace(-2, 4, 25)
     assert np.max(np.abs(density(q) - marginal_density(q, 1.0, 0.0, 0.0))) < 1e-8
 
@@ -125,7 +127,7 @@ def test_effective_marginal_adds_detector_variance():
     sigma = math.sqrt(0.5)
     rho = displaced_thermal_state(alpha_from_quadratures(1.0, 0.0), 0.0, 40)
     grid = default_grid(dim=40)
-    density = effective_marginal(rho, gaussian_kernel(sigma), grid)
+    density = effective_marginal(rho, gaussian_kernel(sigma))
     q = grid.points
     mean = grid.integrate(q * density(q))
     var = grid.integrate((q - mean) ** 2 * density(q))
@@ -134,16 +136,22 @@ def test_effective_marginal_adds_detector_variance():
 
 
 def test_gaussian_kernel_takes_the_exact_rule_with_or_without_grid():
-    """A grid serves a custom kernel only: a Gaussian kernel's rule ignores it,
-    and ``effective_marginal`` needs none to meet the closed-form marginal."""
+    """A grid belongs to a custom kernel only, which integrates on it; a
+    Gaussian kernel's rule is the dim-node Hermite rule, and
+    ``effective_marginal`` meets the closed-form marginal with it.  A custom
+    kernel without a grid is refused."""
     dim, phi = 40, np.array([-1.0, 0.5, 2.0])
     fine = default_grid(dim=dim, points=900)
     kernel = gaussian_kernel(0.3)
-    for got, want in zip(postselection_rule(kernel, phi, dim, fine),
-                         postselection_rule(kernel, phi, dim)):
-        assert np.array_equal(got, want)
-    custom = custom_kernel(kernel.func, 0.3)
-    assert postselection_rule(custom, phi, dim, fine)[0].shape == (1, fine.size)
+    assert kernel.grid is None
+    assert postselection_rule(kernel, phi, dim)[0].shape == (phi.size, dim)
+    nodes, weights = postselection_rule(custom_kernel(kernel.func, 0.3, grid=fine), phi, dim)
+    assert np.array_equal(nodes, fine.points[None, :])
+    assert np.array_equal(weights, kernel(phi[:, None], nodes) * fine.weights)
+    with pytest.raises(TypeError, match="grid"):
+        custom_kernel(kernel.func, 0.3)
+    with pytest.raises(TypeError, match="QuadratureGrid"):
+        custom_kernel(kernel.func, 0.3, grid=None)
     rho = displaced_thermal_state(alpha_from_quadratures(1.0, 0.0), 0.4, dim)
     density = effective_marginal(rho, kernel)
     exact = marginal_density(phi, 1.0, 0.4, 0.3)
@@ -152,13 +160,12 @@ def test_gaussian_kernel_takes_the_exact_rule_with_or_without_grid():
 
 def test_effective_marginal_vacuum_peak():
     rho = coherent_state(0.0, 20)
-    density = effective_marginal(rho, gaussian_kernel(0.0), default_grid(dim=20))
+    density = effective_marginal(rho, gaussian_kernel(0.0))
     assert density(0.0) == pytest.approx(1 / math.sqrt(math.pi), abs=1e-10)
 
 
 def test_effective_marginal_scalar_in_scalar_out():
-    density = effective_marginal(coherent_state(0.0, 20), gaussian_kernel(0.3),
-                                 default_grid(dim=20))
+    density = effective_marginal(coherent_state(0.0, 20), gaussian_kernel(0.3))
     for q in (0.5, np.float64(0.5), np.array(0.5)):
         assert type(density(q)) is float
     for q in ([0.5], np.array([0.5]), np.array([0.5, 1.0])):
@@ -173,7 +180,7 @@ def test_effective_marginal_is_convolution(rng):
     kernel = gaussian_kernel(0.45)
     for _ in range(20):
         rho = random_density(16, rng)
-        density = effective_marginal(rho, kernel, grid)
+        density = effective_marginal(rho, kernel)
         q = np.linspace(-4, 4, 9)
         # independent route: direct convolution integral of the exact diagonal
         diag = position_density(rho, grid.points)
@@ -184,10 +191,9 @@ def test_effective_marginal_is_convolution(rng):
 def test_effective_marginal_preserves_mass(rng):
     from conftest import random_density
 
-    grid = default_grid(dim=14, points=500)
     for sigma in (0.0, 0.3, 0.8):
         rho = random_density(14, rng)
-        density = effective_marginal(rho, gaussian_kernel(sigma), grid)
+        density = effective_marginal(rho, gaussian_kernel(sigma))
         wide = default_grid(dim=14, points=700)
         assert wide.integrate(density(wide.points)) == pytest.approx(1.0, abs=1e-6)
 
@@ -225,10 +231,11 @@ _N = make_operator("number", 8)
 @pytest.mark.parametrize("call", [
     lambda: weak_value(_N, _RHO, delta_kernel(), math.nan),
     lambda: weak_value(_N, _RHO, gaussian_kernel(0.3), [0.0, math.inf]),
-    lambda: weak_value(_N, _RHO, gaussian_kernel(0.3), math.nan, grid=default_grid(dim=8)),
+    lambda: weak_value(_N, _RHO, custom_kernel(gaussian_kernel(0.3).func, 0.3,
+                                               grid=default_grid(dim=8)), math.nan),
     lambda: weak_value_from_distribution(_RHO, _N, BasisPair.position_fock(8),
                                          delta_kernel(), math.nan),
-    lambda: effective_marginal(_RHO, gaussian_kernel(0.3), default_grid(dim=8))(math.nan),
+    lambda: effective_marginal(_RHO, gaussian_kernel(0.3))(math.nan),
     lambda: gaussian_kernel(math.nan),
     lambda: gaussian_kernel(math.inf),
     lambda: h_closed_profile(1.0, 0.0, math.nan, 0.1),

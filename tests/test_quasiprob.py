@@ -191,7 +191,7 @@ def test_effective_marginal_consistency():
     rho = displaced_thermal_state(alpha_from_quadratures(0.8, -0.3), 0.2, 40)
     basis = BasisPair.position_momentum(40)
     eff = effective_distribution(s_distribution(rho, basis), gaussian_kernel(sigma))
-    independent = effective_marginal(rho, gaussian_kernel(sigma), basis.phi_grid)
+    independent = effective_marginal(rho, gaussian_kernel(sigma))
     assert np.max(np.abs(marginal_over_xi(eff).real
                          - independent(basis.phi_grid.points))) < 1e-6
 
@@ -242,7 +242,7 @@ def test_conditional_expectation_matches_trace_formula(rng):
         sigma = rng.uniform(0.0, 0.8)
         kernel = gaussian_kernel(sigma) if sigma > 0.05 else delta_kernel()
         lhs = weak_value_from_distribution(rho, nu, basis, kernel, phi)
-        rhs = weak_value(nu, rho, kernel, phi, grid=basis.phi_grid)
+        rhs = weak_value(nu, rho, kernel, phi)
         assert abs(lhs - rhs) < 1e-8
 
 
@@ -305,14 +305,15 @@ def test_distribution_route_matches_closed_profiles(eta, kind):
 
 def test_custom_kernel_distribution_route_matches_grid_trace_formula(rng):
     dim = 16
-    triangle = custom_kernel(lambda a, b: np.maximum(0.0, 1.0 - np.abs(a - b) / 0.5) / 0.5)
+    triangle = custom_kernel(lambda a, b: np.maximum(0.0, 1.0 - np.abs(a - b) / 0.5) / 0.5,
+                             grid=default_grid(dim=dim))
     basis = BasisPair.position_fock(dim)
     for _ in range(4):
         rho = random_density(dim, rng)
         nu = Observable(random_hermitian(dim, rng))
         phi = float(rng.uniform(-1.5, 1.5))
         lhs = weak_value_from_distribution(rho, nu, basis, triangle, phi)
-        rhs = weak_value(nu, rho, triangle, phi, grid=default_grid(dim=dim))
+        rhs = weak_value(nu, rho, triangle, phi)
         assert abs(lhs - rhs) < 1e-10
 
 

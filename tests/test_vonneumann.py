@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from weakmeas import (
+    BasisPair,
     DensityOperator,
     Observable,
     PointerState,
@@ -31,6 +32,8 @@ from weakmeas import (
     simulate_cross_kerr,
     simulate_qubit_pointer,
     wavefunction_table,
+    weak_value,
+    weak_value_from_distribution,
 )
 from weakmeas.fockspace import displacement_operator
 from weakmeas.povm import smear_matrix
@@ -188,7 +191,7 @@ def test_zero_coupling_table_is_product_of_effective_marginals():
     kernel_phi, kernel_q = gaussian_kernel(0.5), gaussian_kernel(0.35)
     table = joint_distribution(evolve_exact(rho, PointerState.gaussian(), nu, 0.0),
                                kernel_phi, kernel_q)
-    obj = effective_marginal(rho, kernel_phi, table.phi_grid)(table.phi_grid.points)
+    obj = effective_marginal(rho, kernel_phi)(table.phi_grid.points)
     vac_pointer = np.exp(-table.Q_grid.points ** 2 / 2.0) / math.sqrt(2 * math.pi)
     smear = kernel_q(table.Q_grid.points[:, None], table.Q_grid.points[None, :])
     pnt = smear @ (table.Q_grid.weights * vac_pointer)
@@ -233,7 +236,7 @@ def test_marginal_disturbance_is_second_order():
     nu = make_operator("hamiltonian", dim)
     kernel_phi = gaussian_kernel(0.3)
     phi_grid = default_grid(dim=dim, points=300)
-    exact = effective_marginal(rho, kernel_phi, phi_grid)(phi_grid.points)
+    exact = effective_marginal(rho, kernel_phi)(phi_grid.points)
 
     def deviation(eps):
         joint = evolve_exact(rho, PointerState.gaussian(), nu, eps)
@@ -265,7 +268,8 @@ def test_biased_readout_kernel_offsets_conditional_mean_by_its_bias():
     phi_grid = default_grid(dim=24, points=100).with_points([0.5])
     q_grid = QuadratureGrid.gauss_legendre(14.0, 700)
     fair = joint_distribution(joint, None, gaussian_kernel(sigma), phi_grid, q_grid)
-    skew = joint_distribution(joint, None, custom_kernel(biased, sigma), phi_grid, q_grid)
+    skew = joint_distribution(joint, None, custom_kernel(biased, sigma, grid=q_grid), phi_grid,
+                              q_grid)
     assert _values_mean(skew, 0.5) - _values_mean(fair, 0.5) == pytest.approx(bias, abs=1e-10)
 
 
@@ -284,7 +288,17 @@ def test_narrow_readout_grid_warns():
 
 
 BOOSTED = PointerState.gaussian_mixture([(0.6, -0.8, 0.7, 0.5), (0.4, 1.0, 1.3)])
-SMOOTH_CUSTOM = custom_kernel(gaussian_kernel(0.4).func, 0.4)
+# on the 161-node trapezoid readout grid of the table tests; a test that
+# integrates phi with it moves it onto its phi grid (``_on``)
+SMOOTH_CUSTOM = custom_kernel(gaussian_kernel(0.4).func, 0.4,
+                              grid=QuadratureGrid.uniform(16.0, 161))
+
+
+def _on(kernel, grid):
+    """``kernel``, a custom one moved onto ``grid``."""
+    if kernel is None or kernel.kind != "custom":
+        return kernel
+    return dataclasses.replace(kernel, grid=grid)
 
 
 def _rank(rho):
@@ -426,8 +440,9 @@ def test_table_values_are_smeared_position_density():
     nodes for a smeared Q axis), smeared onto the table's points by
     ``smear_matrix``.  The trapezoid rule resolves the eta = 0.999 kernel
     (sigma_eta = 0.022, 4.8 node spacings), where a smear on the table's own
-    grid is 0.27 of the largest value off; a custom kernel, whose rule is the
-    table's grid, is smooth enough for that grid.  Every eighth phi row."""
+    grid is 0.27 of the largest value off; a custom kernel, whose rule is its
+    own grid, here the table's grid of its axis, is smooth enough for that
+    grid.  Every eighth phi row."""
     dim, eps = 16, 0.2
     kernels = {"projective": None, "custom": SMOOTH_CUSTOM, "gaussian": gaussian_kernel(0.3),
                **{f"eta {eta}": gaussian_kernel(sigma_from_efficiency(eta))
@@ -436,6 +451,7 @@ def test_table_values_are_smeared_position_density():
              ("custom", "custom"), ("projective", "gaussian")]  # (phi kernel, Q kernel)
     phi_fine, q_fine = QuadratureGrid.uniform(14.0, 6000), QuadratureGrid.uniform(18.0, 361)
     phi_grid, q_grid = default_grid(dim=dim), QuadratureGrid.uniform(16.0, 161)
+    assert np.array_equal(SMOOTH_CUSTOM.grid.points, q_grid.points)
     rows = phi_grid.points[::8]
     failures = []
     for pointer, name in ((PointerState.gaussian(0.9), "single"), (MIXTURE, "mixture"),
@@ -446,7 +462,7 @@ def test_table_values_are_smeared_position_density():
             joint = evolve_exact(rho, pointer, make_operator("hamiltonian", dim), eps)
             densities = {}  # position_density per (smeared phi, smeared Q)
             for phi_name, q_name in cases:
-                kernel_phi, kernel_q = kernels[phi_name], kernels[q_name]
+                kernel_phi, kernel_q = _on(kernels[phi_name], phi_grid), kernels[q_name]
                 table = joint_distribution(joint, kernel_phi, kernel_q, phi_grid, q_grid)
                 smeared = (kernel_phi is not None, kernel_q is not None)
                 if smeared not in densities:
@@ -478,7 +494,7 @@ def test_exact_readout_matches_fine_table_route(pointer, n_th, kernel_phi):
     grid, against the table route: the means of ``values`` at the node on a
     1000-node phi grid.  The values of a projective or Gaussian phi kernel
     take the exact postselection rule on any grid; a custom kernel's take
-    the table's grid as its rule."""
+    its own grid, the 400-node one, as the rule of both tables."""
     dim, eps, phi = 20, 0.05, 0.37
     rho = displaced_thermal_state(alpha_from_quadratures(0.9, 0.4), n_th, dim)
     nu = make_operator("hamiltonian", dim)
@@ -486,6 +502,7 @@ def test_exact_readout_matches_fine_table_route(pointer, n_th, kernel_phi):
     assert _rank(rho) == (1 if n_th == 0.0 else dim)
     _assert_state_is_rotated(joints[0], rho, nu)
     q_grid = QuadratureGrid.uniform(16.0, 161)  # trapezoid: resolves the 0.3 Q smear
+    kernel_phi = _on(kernel_phi, default_grid(dim=dim, points=400).with_points([phi]))
 
     def tables(points, kernel_q):
         phi_grid = default_grid(dim=dim, points=points).with_points([phi])
@@ -504,22 +521,41 @@ def test_exact_readout_matches_fine_table_route(pointer, n_th, kernel_phi):
                          ids=["phi_projective", "phi_gaussian", "phi_custom"])
 def test_pointer_shift_is_the_table_shift(pointer, n_th, kernel_phi):
     """The shift read from the evolved state alone is the table route's to
-    the bit; the grid enters for a custom phi kernel only."""
+    the bit, a custom phi kernel's too: it integrates on its own grid."""
     dim, eps, phi = 20, 0.05, 0.37
     rho = displaced_thermal_state(alpha_from_quadratures(0.9, 0.4), n_th, dim)
     start = evolve_exact(rho, pointer, make_operator("hamiltonian", dim), 0.0)
     joint = evolve_further(start, eps)
     phi_grid = default_grid(dim=dim, points=80).with_points([phi])
+    kernel_phi = _on(kernel_phi, phi_grid)
     baseline, table = (joint_distribution(j, kernel_phi, None, phi_grid,
                                           QuadratureGrid.gauss_legendre(16.0, 100))
                        for j in (start, joint))
     want = conditional_pointer_shift(table, phi, baseline)
-    kernel = kernel_phi or gaussian_kernel(0.0)
-    assert pointer_shift(joint, kernel, phi, phi_grid) == want
-    if kernel.kind != "custom":
-        assert pointer_shift(joint, kernel, phi) == want
-    else:
-        assert pointer_shift(joint, kernel, phi) != want  # on the default grid
+    assert pointer_shift(joint, kernel_phi or gaussian_kernel(0.0), phi) == want
+
+
+def test_custom_kernel_agrees_on_every_route():
+    """A custom kernel integrates on its own 300-node grid on every route,
+    whatever the table's 80-node phi grid: the closed-form shift is the
+    table's to the bit, the trace formula is the distribution route's, and
+    the eps = 0 table's phi marginal is ``effective_marginal``."""
+    dim, eps, phi = 20, 0.05, 0.37
+    kernel = custom_kernel(gaussian_kernel(0.4).func, 0.4,
+                           grid=default_grid(dim=dim, points=300))
+    rho = displaced_thermal_state(alpha_from_quadratures(0.9, 0.4), 0.8, dim)
+    nu = make_operator("hamiltonian", dim)
+    phi_grid = default_grid(dim=dim, points=80).with_points([phi])
+    baseline, table = (
+        joint_distribution(evolve_exact(rho, MIXTURE, nu, e), kernel, None, phi_grid,
+                           QuadratureGrid.gauss_legendre(16.0, 100)) for e in (0.0, eps))
+    assert pointer_shift(table.joint, kernel, phi) == conditional_pointer_shift(table, phi,
+                                                                                baseline)
+    distribution = weak_value_from_distribution(rho, nu, BasisPair.position_fock(dim),
+                                                kernel, phi)
+    assert abs(weak_value(nu, rho, kernel, phi) - distribution) <= 1e-12
+    marginal = effective_marginal(rho, kernel)(phi_grid.points)
+    assert np.max(np.abs(phi_marginal(baseline) - marginal)) <= 1e-12
 
 
 def test_pointer_shift_refusals():
@@ -664,6 +700,19 @@ def test_kerr_calibration_matches_dense_two_mode_oracle():
         assert res.calibration[i] == pytest.approx(expected, abs=1e-12)
     assert res.extracted_n_w == pytest.approx(res.shift_over_epsilon / res.calibration,
                                               rel=1e-15)
+
+
+def test_discrete_meters_refuse_a_pointer_that_cannot_respond():
+    """A number-state kerr pointer has no quadrature mean for the coupling
+    to shift, and a zero Bloch vector no phase to rotate: both are refused,
+    naming no CLI flag."""
+    rho = coherent_state(alpha_from_quadratures(1.0, 0.0), 12)
+    for level in (0, 2):
+        with pytest.raises(ValueError, match="calibration response vanishes") as err:
+            simulate_cross_kerr(rho, _fock(level, 12), 1e-3, math.pi / 2, [0.0])
+        assert "--" not in str(err.value) and "phase" not in str(err.value)
+    with pytest.raises(ValueError, match="Bloch vector must be nonzero"):
+        simulate_qubit_pointer(rho, PointerState.qubit(0.0, 0.0), 1e-3, [0.0])
 
 
 def test_qubit_zero_coupling_leaves_bloch_vector():

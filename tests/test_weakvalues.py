@@ -55,7 +55,7 @@ def test_weak_value_matches_complex_trace_formula(rng):
         else:
             smear = kernel(phi[:, None], grid.points[None, :]) * grid.weights
             ref = (smear @ f_num) / (smear @ f_den)
-        wv = weak_value(nu, rho, kernel, phi, grid=None if kernel.is_projective else grid)
+        wv = weak_value(nu, rho, kernel, phi)
         assert np.max(np.abs(wv - ref) / np.abs(ref)) < 1e-12
 
 
@@ -166,9 +166,8 @@ def test_closed_profiles_match_trace_formula(rng):
         rho = displaced_thermal_state(alpha_from_quadratures(alpha_r, alpha_i), n_th, dim)
         tag = ("p2", "H", "n")[rng.integers(3)]
         profile = builders[tag](alpha_r, alpha_i, n_th, sigma)
-        grid = default_grid(dim=dim, points=900) if sigma else None
         qs = np.linspace(alpha_r - 2.5, alpha_r + 2.5, 20)
-        wv = weak_value(operators[tag], rho, kernel, qs, grid=grid)
+        wv = weak_value(operators[tag], rho, kernel, qs)
         worst = max(worst, np.max(np.abs(wv - profile.value(qs))))
     assert worst < 1e-6
 
