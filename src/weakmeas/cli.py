@@ -1,19 +1,19 @@
 """Command-line surface: weak-value queries, probability sweeps behind the
 figure data, distribution grids and pointer simulations.
 
-Every command is deterministic given its flags.  Numbers are written with 17
-significant digits so CSV output round-trips to the exact double.  Exit
-codes: 0 success, 1 usage error, 2 numerical-domain error, such as a
-non-finite number in any flag, or a weak value whose closed form and trace
-formula differ by more than ``TRACE_TOL`` in their real parts.  A flat JSON
-config file can preload any flag of the command (``--config``); explicit
-flags win, and a key the command does not read exits 2.  The Fock truncation
-is 40 unless ``--dim`` or the config's ``dim`` sets it.  ``simulate``
-couplings share the state flags, ``--epsilon``, ``--fock``, ``--dim`` and
-``--postselect-q``; besides those, each reads only its own (``_COUPLINGS``)
-and refuses another coupling's, by flag or config, with exit 2.  The kerr
-meter reads the quadrature at right angles to its pointer amplitude beta,
-which must be nonzero.
+Every command is deterministic given its flags.  ``figure`` and
+``distribution`` write CSV grids whose 17-digit cells round-trip to the
+exact double.  Exit codes: 0 success, 1 usage error, 2 numerical-domain
+error, such as a non-finite number in any flag, or a weak value whose closed
+form and trace formula differ by more than ``TRACE_TOL`` in their real parts.
+A flat JSON config file can preload any flag of the command (``--config``);
+explicit flags win, and a key the command does not read exits 2.  The Fock
+truncation is 40 unless ``--dim`` or the config's ``dim`` sets it.
+``simulate`` couplings share the state flags, ``--epsilon``, ``--fock``,
+``--dim`` and ``--postselect-q``; besides those, each reads only its own
+(``_COUPLINGS``) and refuses another coupling's, by flag or config, with
+exit 2, as ``--fock`` refuses the displaced thermal state's.  The kerr meter
+reads the quadrature at right angles to its nonzero pointer amplitude beta.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import fockspace, povm, quasiprob, vonneumann, weakvalues
 
-__all__ = ["main", "build_parser", "FIGURES", "summarize_distribution_rows"]
+__all__ = ["main", "build_parser", "FIGURES"]
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -67,14 +67,19 @@ FIGURES = {
 }
 
 
-def _write_csv(path: str, header, rows) -> None:
-    """CSV with ``header`` and one CRLF-terminated line per tuple of floats in
-    ``rows``, 17 significant digits each: the bytes ``csv.writer`` writes for
-    ``format(x, ".17g")`` cells, from one %-format per row."""
-    line = ",".join(["%.17g"] * len(header)) + "\r\n"
+def _write_csv(path: str, header, rows, cols, *columns) -> None:
+    """CSV with ``header`` and one CRLF line per node pair (rows[i], cols[j]),
+    i major, followed by each column's [i, j] cell: the bytes ``csv.writer``
+    writes for ``format(x, ".17g")`` cells.  Each node is formatted once per
+    axis, and a str column (no "%" in it) is the same text on every line."""
+    cols = ["%.17g" % x for x in np.asarray(cols, dtype=float).tolist()]
+    cells = [c for c in columns if not isinstance(c, str)]
+    tail = "".join("," + c if isinstance(c, str) else ",%.17g" for c in columns) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(line % row for row in rows)
+        for i, node in enumerate(np.asarray(rows, dtype=float).tolist()):
+            line = "%.17g" % node + ",%s" + tail
+            fh.writelines(map(line.__mod__, zip(cols, *(c[i].tolist() for c in cells))))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="negativity-probability sweep data")
     p.add_argument("figure_id", choices=sorted(FIGURES))
     p.add_argument("--output", default=None, help="output path (default <figure_id>.csv)")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--steps", type=int, default=None,
                    help="override the step count of both swept axes")
     for axis in ("alpha-r", "alpha-i", "nth", "eta"):
@@ -176,10 +180,6 @@ def _dim(opts) -> int:
     return dim
 
 
-def _sigma(opts) -> float:
-    return povm.sigma_from_efficiency(opts["eta"])
-
-
 def _sanitize(obj):
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
@@ -197,7 +197,7 @@ def _emit(params: dict, results: dict) -> None:
 def cmd_weak_value(args) -> int:
     opts = _merge_config(args, {"observable": "H", "alpha_r": 0.0, "alpha_i": 0.0,
                                 "nth": 0.0, "eta": 1.0, "q": 0.0, "dim": DEFAULT_DIM})
-    sigma_eta = _sigma(opts)
+    sigma_eta = povm.sigma_from_efficiency(opts["eta"])
     profile = _PROFILE_BUILDERS[opts["observable"]](
         opts["alpha_r"], opts["alpha_i"], opts["nth"], sigma_eta)
     value = profile.value(opts["q"])
@@ -227,13 +227,12 @@ def cmd_weak_value(args) -> int:
     return 0
 
 
-def _figure_cells(figure_id: str, opts: dict, steps: int | None):
+def _figure_cells(figure_id: str, opts: dict):
     spec = FIGURES[figure_id]
     ax1, ax2 = spec["axes"]
-    fixed = dict(spec["fixed"])
-    for key in fixed:
-        if opts.get(key) is not None:
-            fixed[key] = opts[key]
+    fixed = {key: value if opts[key] is None else opts[key]
+             for key, value in spec["fixed"].items()}
+    steps = opts["steps"]
     if steps is not None and steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     axes_vals = {}
@@ -249,20 +248,19 @@ def _figure_cells(figure_id: str, opts: dict, steps: int | None):
             raise ValueError(f"nth range must be nonnegative, got min {lo}")
         axes_vals[ax] = np.linspace(lo, hi, steps if steps else n)
     build = _PROFILE_BUILDERS[spec["observable"]]
-    rows = []
-    for v1 in axes_vals[ax1]:
-        for v2 in axes_vals[ax2]:
-            cell = {**fixed, ax1: float(v1), ax2: float(v2)}
+    probs = np.empty((axes_vals[ax1].size, axes_vals[ax2].size))
+    for i, v1 in enumerate(axes_vals[ax1].tolist()):
+        for j, v2 in enumerate(axes_vals[ax2].tolist()):
+            cell = {**fixed, ax1: v1, ax2: v2}
             profile = build(cell["alpha_r"], cell["alpha_i"], cell["nth"],
                             povm.sigma_from_efficiency(cell["eta"]))
-            prob = weakvalues.negativity_probability(profile).probability
-            rows.append((float(v1), float(v2), prob))
-    return (ax1, ax2), rows
+            probs[i, j] = weakvalues.negativity_probability(profile).probability
+    return axes_vals, probs
 
 
 def cmd_figure(args) -> int:
     all_axes = ("alpha_r", "alpha_i", "nth", "eta")
-    opts = _merge_config(args, {"output": None, "format": "csv", "steps": None, "dim": None,
+    opts = _merge_config(args, {"output": None, "steps": None, "dim": None,
                                 **{f"{ax}{end}": None for ax in all_axes
                                    for end in ("", "_min", "_max")}})
     figure_id = args.figure_id
@@ -274,31 +272,13 @@ def cmd_figure(args) -> int:
     if given:
         raise ValueError(f"figure {figure_id} does not use {' or '.join(given)}: it sweeps "
                          f"{' and '.join(spec['axes'])} and pins {' and '.join(spec['fixed'])}")
-    (ax1, ax2), rows = _figure_cells(figure_id, opts, opts["steps"])
-    path = opts["output"] or f"{figure_id}.{opts['format']}"
-    if opts["format"] == "json":
-        with open(path, "w") as fh:
-            json.dump([{ax1: a, ax2: b, "probability": p} for a, b, p in rows], fh)
-    else:
-        _write_csv(path, (ax1, ax2, "probability"), rows)
-    probs = [p for _, _, p in rows]
-    _emit({"figure_id": figure_id, "axes": [ax1, ax2], "cells": len(rows),
+    nodes, probs = _figure_cells(figure_id, opts)
+    path = opts["output"] or f"{figure_id}.csv"
+    _write_csv(path, (*nodes, "probability"), *nodes.values(), probs)
+    _emit({"figure_id": figure_id, "axes": list(nodes), "cells": probs.size,
            "output": path},
-          {"min_probability": min(probs), "max_probability": max(probs)})
+          {"min_probability": float(probs.min()), "max_probability": float(probs.max())})
     return 0
-
-
-def summarize_distribution_rows(re_values: np.ndarray, phi: np.ndarray,
-                                xi: np.ndarray) -> dict:
-    """Grid-cell negativity summary, a pure function of exported CSV rows
-    (unweighted by quadrature, so re-reading the file reproduces it exactly)."""
-    re_values = np.asarray(re_values, dtype=float)
-    i = int(np.argmin(re_values))
-    abs_sum = float(np.sum(np.abs(re_values)))
-    neg_sum = float(np.sum(np.abs(re_values[re_values < 0.0])))
-    return {"min_value": float(re_values[i]), "min_phi": float(phi[i]),
-            "min_xi": float(xi[i]),
-            "negative_cell_fraction": neg_sum / abs_sum if abs_sum > 0 else 0.0}
 
 
 def cmd_distribution(args) -> int:
@@ -320,7 +300,7 @@ def cmd_distribution(args) -> int:
     dist = quasiprob.s_distribution(rho, basis)
     results = {"output": opts["output"]}
     if opts["kind"].endswith("_eta"):
-        kernel = povm.gaussian_kernel(_sigma(opts))
+        kernel = povm.gaussian_kernel(povm.sigma_from_efficiency(opts["eta"]))
         dist = quasiprob.effective_distribution(dist, kernel)
         try:  # the smear's quadrature error on this grid, reported, not refused
             defect = povm.validate(kernel, grid).max_normalization_defect
@@ -330,19 +310,13 @@ def cmd_distribution(args) -> int:
     if opts["kind"].startswith("T"):
         dist = quasiprob.t_distribution(dist)
 
-    phi_col = np.repeat(basis.phi_grid.points, basis.xi_points.size)
-    xi_col = np.tile(basis.xi_points, basis.phi_grid.size)
-    flat = dist.values.reshape(-1)
-    _write_csv(opts["output"], ("phi", "xi", "re", "im"),
-               zip(phi_col.tolist(), xi_col.tolist(), np.real(flat).tolist(),
-                   np.imag(flat).tolist()))
-
-    # negativity summaries always refer to the real part of the grid
-    results["rows"] = int(flat.size)
-    results.update(summarize_distribution_rows(np.real(flat), phi_col, xi_col))
-    scan_src = dist if dist.is_real_kind else quasiprob.t_distribution(dist)
-    scan = quasiprob.negativity_scan(scan_src)
-    results["negative_mass_fraction"] = scan.negative_mass_fraction
+    values = dist.values
+    _write_csv(opts["output"], ("phi", "xi", "re", "im"), basis.phi_grid.points,
+               basis.xi_points, values.real, "0" if dist.is_real_kind else values.imag)
+    # the negativity summary always refers to the real part of the grid
+    scan = quasiprob.negativity_scan(dist if dist.is_real_kind
+                                     else quasiprob.t_distribution(dist))
+    results.update(rows=values.size, **vars(scan))
     _emit(opts, results)
     return 0
 
@@ -352,9 +326,7 @@ def _state_from_opts(opts, dim):
         level = opts["fock"]
         if not 0 <= level < dim:
             raise ValueError(f"Fock level {level} outside truncation dim={dim}")
-        m = np.zeros((dim, dim), dtype=complex)
-        m[level, level] = 1.0
-        return fockspace.DensityOperator(m)
+        return fockspace.DensityOperator(np.diag(np.eye(dim)[level]))  # |level><level|
     alpha = fockspace.alpha_from_quadratures(opts["alpha_r"], opts["alpha_i"])
     return fockspace.displaced_thermal_state(alpha, opts["nth"], dim)
 
@@ -365,7 +337,7 @@ def _simulate_generic(opts) -> dict:
     pointer = vonneumann.PointerState.gaussian(opts["pointer_sigma"])
     rho = _state_from_opts(opts, dim)
     nu = fockspace.make_operator(_OPERATOR_KINDS[opts["observable"]], dim)
-    sigma_eta = _sigma(opts)
+    sigma_eta = povm.sigma_from_efficiency(opts["eta"])
     kernel_phi = povm.gaussian_kernel(sigma_eta)
     eps = opts["epsilon"]
     if opts.get("fock") is not None:
@@ -435,22 +407,33 @@ _COUPLINGS = {
     "kerr": (_simulate_kerr, {"beta_r": 1.0, "beta_i": 0.0}),
     "qubit": (_simulate_qubit, {"sx": 1.0, "sy": 0.0}),
 }
+# the displaced thermal family's flags, with their defaults; --fock uses none
+_STATE = {"alpha_r": 1.0, "alpha_i": 0.0, "nth": 0.0}
+
+
+def _refuse_given(opts: dict, keys, user: str) -> None:
+    """Drop ``keys`` from ``opts``; any that was set, by flag or config, is refused."""
+    given = [f"--{key.replace('_', '-')}" for key in keys if opts.pop(key) is not None]
+    if given:
+        raise ValueError(f"{user} does not use {' or '.join(given)}")
 
 
 def cmd_simulate(args) -> int:
     opts = _merge_config(args, {
-        "coupling": "generic", "epsilon": 1e-3, "alpha_r": 1.0, "alpha_i": 0.0,
-        "nth": 0.0, "fock": None, "postselect_q": 0.0, "dim": DEFAULT_DIM,
+        "coupling": "generic", "epsilon": 1e-3, "fock": None, "postselect_q": 0.0,
+        "dim": DEFAULT_DIM, **dict.fromkeys(_STATE),
         **{key: None for _, own in _COUPLINGS.values() for key in own}})
     coupling = opts["coupling"]
     if coupling not in _COUPLINGS:
         raise ValueError(f"unknown coupling {coupling!r}: choose {', '.join(_COUPLINGS)}")
-    simulate, own = _COUPLINGS[coupling]
-    given = [f"--{key.replace('_', '-')}" for _, flags in _COUPLINGS.values()
-             for key in flags if key not in own and opts.pop(key) is not None]
-    if given:
-        raise ValueError(f"--coupling {coupling} does not use {' or '.join(given)}")
-    opts.update({key: value for key, value in own.items() if opts[key] is None})
+    simulate, defaults = _COUPLINGS[coupling]
+    _refuse_given(opts, [key for _, flags in _COUPLINGS.values() for key in flags
+                         if key not in defaults], f"--coupling {coupling}")
+    if opts["fock"] is None:
+        defaults = {**_STATE, **defaults}
+    else:
+        _refuse_given(opts, _STATE, "--fock")
+    opts.update({key: value for key, value in defaults.items() if opts[key] is None})
     _emit(opts, simulate(opts))
     return 0
 

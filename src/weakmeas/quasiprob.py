@@ -255,14 +255,21 @@ def effective_distribution(dist: QuasiDistribution, kernel: DetectorKernel) -> Q
     double are set to zero first: each dropped product is below it, so an
     output entry moves by at most n_phi times that bound (about 1e-305), and
     no subnormal reaches the product, where it would slow BLAS sharply.
+    The smear integrates on the distribution's phi grid, so a custom kernel
+    whose own grid has other nodes or weights is refused.
     """
     if dist.kind not in ("S", "T"):
         raise ValueError(f"distribution of kind {dist.kind!r} is already smeared")
     if kernel.is_projective:
         return QuasiDistribution(dist.values, dist.basis, dist.kind + "_eta")
+    grid = dist.basis.phi_grid
+    if kernel.kind == "custom" and not (np.array_equal(kernel.grid.points, grid.points)
+                                        and np.array_equal(kernel.grid.weights, grid.weights)):
+        raise ValueError("a custom kernel smears a distribution only on its own grid, "
+                         "which must hold the distribution's phi nodes and weights")
     values = np.ascontiguousarray(dist.values)
     real = values.view(float)
-    smear = smear_matrix(kernel, dist.basis.phi_grid.points, dist.basis.phi_grid)
+    smear = smear_matrix(kernel, grid.points, grid)
     smear[smear * np.abs(real).max(axis=1) < np.finfo(float).tiny] = 0.0
     return QuasiDistribution((smear @ real).view(values.dtype), dist.basis,
                              dist.kind + "_eta")

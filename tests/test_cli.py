@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import math
 import shlex
@@ -9,7 +10,7 @@ import pytest
 from scipy.special import erfc
 
 from weakmeas import displaced_thermal_state, position_density
-from weakmeas.cli import main, summarize_distribution_rows
+from weakmeas.cli import _write_csv, main
 
 
 def run_cli(capsys, *argv):
@@ -77,14 +78,17 @@ def test_figure_p2_and_n_anchor_cells(capsys, tmp_path):
     assert rows[(0.0, 0.0)] == 0.0
 
 
-def test_figure_json_format(capsys, tmp_path):
-    path = tmp_path / "fig.json"
-    code, _, _ = run_cli(capsys, "figure", "h_ideal", "--output", str(path),
-                         "--format", "json", "--steps", "5")
-    assert code == 0
-    data = json.loads(path.read_text())
-    assert len(data) == 25
-    assert {"alpha_r", "alpha_i", "probability"} <= set(data[0])
+def test_figure_writes_csv_only(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # figure writes into the cwd
+    with pytest.raises(SystemExit) as err:
+        main(["figure", "h_ideal", "--format", "json", "--steps", "5"])
+    assert err.value.code == 1
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "json"}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "figure", "h_ideal", "--steps", "5")
+    assert code == 2 and out == "" and "figure does not read config key format" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_figure_range_overrides(capsys, tmp_path):
@@ -166,10 +170,10 @@ def test_distribution_thermal_negativity_and_marginals(capsys, tmp_path):
     xi = np.array([float(r["xi"]) for r in rows])
     re = np.array([float(r["re"]) for r in rows])
 
-    # bit-exact round trip of the printed summary from the file alone
-    summary = summarize_distribution_rows(re, phi, xi)
-    for key, value in summary.items():
-        assert rec["results"][key] == value
+    # the printed minimum and its place are the CSV's, bit for bit
+    i = int(np.argmin(re))
+    assert [rec["results"][key] for key in ("min_value", "min_phi", "min_xi")] == [
+        re[i], phi[i], xi[i]]
 
     # marginal over the second axis reproduces the position density; the
     # quadrature weights are recovered by rebuilding the command's grid
@@ -293,6 +297,23 @@ def test_simulate_discrete_meters_record_no_unused_flags(capsys, coupling):
     params = last_json(out)["params"]
     assert set(params) == _SHARED | _OWN[coupling]
     assert params["coupling"] == coupling
+
+
+@pytest.mark.parametrize("coupling", ["generic", "kerr", "qubit"])
+def test_simulate_fock_refuses_state_flags_by_flag_and_config(capsys, tmp_path, coupling):
+    argv = ["simulate", "--coupling", coupling, "--fock", "2", "--dim", "16",
+            "--epsilon", "0.05", "--postselect-q", "0.3"]
+    code, out, err = run_cli(capsys, *argv, "--alpha-r", "3", "--nth", "0.7")
+    assert code == 2 and out == "" and "--fock does not use --alpha-r or --nth" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha_i": 0.4}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+    assert code == 2 and out == "" and "--fock does not use --alpha-i" in err
+    # a number state's record holds no displaced thermal parameter
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    params = set(last_json(out)["params"])
+    assert params == (_SHARED - {"alpha_r", "alpha_i", "nth"}) | _OWN[coupling]
 
 
 @pytest.mark.parametrize("coupling, flags, named", [
@@ -518,18 +539,28 @@ def test_weak_value_agreeing_routes_exit_zero(capsys):
 
 
 def test_csv_rows_match_csv_writer_bytes(tmp_path):
-    from weakmeas.cli import _write_csv
-
-    rows = [(0.1, -2.5, 1.0 / 3.0), (-0.0, 1e-300, 5e-324), (123456789.0, 1e17, -7.25e-8),
-            (float("nan"), float("inf"), -float("inf"))]
+    # every edge value appears as a row node, a column node and a cell
+    edge = [0.1, -2.5, 1.0 / 3.0, -0.0, 1e-300, 5e-324, 123456789.0, 1e17, -7.25e-8,
+            float("nan"), float("inf"), -float("inf")]
+    n = len(edge)
+    rows, cols = np.array(edge), np.array(edge[::-1])
+    first = np.array([[edge[(i + j) % n] for j in range(n)] for i in range(n)])
+    second = np.array([[edge[(i + 2 * j + 5) % n] for j in range(n)] for i in range(n)])
+    header = ("a", "b", "c", "d", "e")
     path = tmp_path / "fast.csv"
-    _write_csv(str(path), ("a", "b", "probability"), rows)
+    _write_csv(str(path), header, rows, cols, first, "0", second)
     ref = tmp_path / "writer.csv"
+
+    def cell(x):
+        return format(float(x), ".17g")
+
     with open(ref, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["a", "b", "probability"])
-        for row in rows:
-            writer.writerow([format(float(x), ".17g") for x in row])
+        writer.writerow(header)
+        for i in range(n):
+            for j in range(n):
+                writer.writerow([cell(rows[i]), cell(cols[j]), cell(first[i, j]), "0",
+                                 cell(second[i, j])])
     assert path.read_bytes() == ref.read_bytes()
 
 
@@ -559,6 +590,26 @@ def test_distribution_smear_defect_is_null_when_grid_cannot_probe(capsys, tmp_pa
     results = last_json(out)["results"]
     assert "smear_normalization_defect" in results
     assert results["smear_normalization_defect"] is None
+
+
+def test_benchmark_cli_round_passes_its_checks(capsys, tmp_path):
+    """One round of the benchmark's cold CLI mix, run in process and held to
+    the benchmark's own check, so a record field it reads cannot go unseen."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cli_cold = workloads.CliCold(101)
+    out_path = str(tmp_path / "output.csv")
+    failures = []
+    for k in range(cli_cold.ROUND):
+        params = cli_cold.inputs(k)
+        code = main(cli_cold.argv(params, out_path))
+        out = capsys.readouterr()
+        result = {"returncode": code, "stdout": out.out, "stderr": out.err}
+        result["rows"], _ = workloads.read_output(out_path)
+        failures.append(cli_cold.check(None, params, result))
+    assert cli_cold.ROUND == 15 and failures == [None] * 15
 
 
 def _readme_cli_commands():

@@ -26,6 +26,7 @@ from weakmeas import (
     negativity_scan,
     p2_closed_profile,
     position_density,
+    QuadratureGrid,
     QuasiDistribution,
     s_distribution,
     s_representation,
@@ -315,6 +316,28 @@ def test_custom_kernel_distribution_route_matches_grid_trace_formula(rng):
         lhs = weak_value_from_distribution(rho, nu, basis, triangle, phi)
         rhs = weak_value(nu, rho, triangle, phi)
         assert abs(lhs - rhs) < 1e-10
+
+
+def test_custom_kernel_smears_only_on_its_own_grid():
+    # the smear integrates on the distribution's phi grid, so a kernel that
+    # carries another grid would not give effective_marginal's xi-marginal
+    dim = 16
+    rho = displaced_thermal_state(alpha_from_quadratures(0.7, 0.3), 0.2, dim)
+    basis = BasisPair.position_fock(dim, default_grid(dim=dim, points=60))
+    dist = s_distribution(rho, basis)
+
+    def triangle(a, b):
+        return np.maximum(0.0, 1.0 - np.abs(a - b) / 0.5) / 0.5
+
+    with pytest.raises(ValueError, match="its own grid"):
+        effective_distribution(dist, custom_kernel(triangle,
+                                                   grid=QuadratureGrid.uniform(8.0, 321)))
+    # an equal copy of the grid is the same grid
+    own = custom_kernel(triangle, grid=QuadratureGrid(basis.phi_grid.points.copy(),
+                                                      basis.phi_grid.weights.copy()))
+    marginal = marginal_over_xi(effective_distribution(dist, own))
+    expected = effective_marginal(rho, own)(basis.phi_grid.points)
+    assert np.max(np.abs(marginal - expected)) < 1e-12
 
 
 def _smear_cases(rng):
