@@ -27,7 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fockspace import DensityOperator, QuadratureGrid, _psi_form, hermite_rule, wavefunction_table
+from .fockspace import (DensityOperator, QuadratureGrid, _mirrored_half, _psi_form,
+                        hermite_rule, wavefunction_table)
 
 __all__ = [
     "DetectorKernel",
@@ -205,12 +206,21 @@ def smear_matrix(kernel: DetectorKernel, outcomes: np.ndarray,
     """Quadrature matrix K with (K f)[i] = integral dx Pi(outcome_i, x) f(x).
 
     For projective kernels the outcomes must coincide with the grid nodes,
-    where smearing is the identity.
+    where smearing is the identity.  A Gaussian kernel on the nodes of a grid
+    with x[::-1] == -x and mirrored weights (every Gauss-Legendre grid) is
+    evaluated on rows [0, ceil(n/2)) only: -x_k - (-x_i) = -(x_k - x_i)
+    exactly, so K[n-1-k, n-1-i] = K[k, i] bit for bit.
     """
     outcomes = np.asarray(outcomes, dtype=float)
+    x, w, n = grid.points, grid.weights, outcomes.size
     if kernel.is_projective:
-        if outcomes.shape != grid.points.shape or not np.allclose(
-                outcomes, grid.points, rtol=0.0, atol=1e-12):
+        if outcomes.shape != x.shape or not np.allclose(outcomes, x, rtol=0.0, atol=1e-12):
             raise ValueError("projective smearing requires outcomes identical to grid nodes")
-        return np.eye(outcomes.size)
-    return kernel(outcomes[:, None], grid.points[None, :]) * grid.weights[None, :]
+        return np.eye(n)
+    mirrored = kernel.kind == "gaussian" and np.array_equal(w[::-1], w)
+    half = _mirrored_half(x) if mirrored and np.array_equal(outcomes, x) else n
+    out = np.empty((n, x.size))
+    np.multiply(kernel(outcomes[:half, None], x[None, :]), w, out=out[:half])
+    if half < n:
+        out[half:] = out[n // 2 - 1::-1, ::-1]
+    return out

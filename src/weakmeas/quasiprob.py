@@ -37,6 +37,7 @@ from .fockspace import (
     DensityOperator,
     Observable,
     QuadratureGrid,
+    _mirrored_half,
     default_grid,
     wavefunction_table,
 )
@@ -138,12 +139,6 @@ class BasisPair:
         return phi_defect, xi_defect
 
 
-def _mirrored_half(x: np.ndarray) -> int:
-    """Leading entries of ``x`` to evaluate: ceil(n/2) when x[::-1] == -x
-    exactly (every Gauss-Legendre grid), else all n."""
-    return (x.size + 1) // 2 if np.array_equal(x[::-1], -x) else x.size
-
-
 def _fourier_overlap(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """<q_i|p_j> = exp(i p_j q_i)/sqrt(2 pi), from cos and sin written into the
     real and imaginary parts of one array; bit-identical to ``np.exp(1j * qp)``,
@@ -190,13 +185,17 @@ def _cross_kernel(rho: DensityOperator, basis: BasisPair, psi: np.ndarray) -> np
     In the momentum basis <p_j|n> = i^-n psi_n(p_j) with psi_n real, so
     R = rho^T diag(i^-n) P comes from one real product on the interleaved
     columns of diag(i^-n) rho, and <p_j|rho|phi_i> = sum_m psi_m(phi_i) R[m, j]
-    from one more on those of R, C-ordered like the overlap.
+    from one more on those of R, C-ordered like the overlap.  Fewer than half
+    as many phi as p nodes (postselection rows) take P^T (diag(i^-n) rho psi):
+    4 dim^2 multiply-adds per phi node, where R takes 2 dim^2 per p node.
     """
     if rho.dim != basis.dim:
         raise ValueError(f"state dim {rho.dim} does not match basis dim {basis.dim}")
     if basis.xi_kind != "momentum":
         return (basis.xi_matrix.conj().T @ rho.matrix @ psi).T
     phased = _I_POWERS[np.arange(basis.dim) % 4, None] * rho.matrix
+    if 2 * psi.shape[1] < basis.xi_points.size:
+        return (basis.xi_table.T @ (phased @ psi).view(float)).view(complex).T
     r_t = (basis.xi_table.T @ phased.view(float)).view(complex)
     return (psi.T @ np.ascontiguousarray(r_t.T).view(float)).view(complex)
 
@@ -251,10 +250,11 @@ def effective_distribution(dist: QuasiDistribution, kernel: DetectorKernel) -> Q
 
     The real smear matrix K of ``smear_matrix`` multiplies the interleaved
     real view of the values, (n_phi, 2 n_xi) for S kinds, in one real
-    product.  Weights with K[k, i] max_j |V[i, j]| below the smallest normal
-    double are set to zero first: each dropped product is below it, so an
-    output entry moves by at most n_phi times that bound (about 1e-305), and
-    no subnormal reaches the product, where it would slow BLAS sharply.
+    product, taken as ((K 2^e) V) 2^-e.  A power-of-two scaling is exact, so
+    it moves no bit and drops no term, while the subnormal weights of an
+    underflowing kernel tail and their products, which slow BLAS sharply, are
+    lifted into normal range; e <= 500 keeps n_phi max|K| max|V| 2^e below
+    2^1000, so no sum overflows.
     The smear integrates on the distribution's phi grid, so a custom kernel
     whose own grid has other nodes or weights is refused.
     """
@@ -270,9 +270,13 @@ def effective_distribution(dist: QuasiDistribution, kernel: DetectorKernel) -> Q
     values = np.ascontiguousarray(dist.values)
     real = values.view(float)
     smear = smear_matrix(kernel, grid.points, grid)
-    smear[smear * np.abs(real).max(axis=1) < np.finfo(float).tiny] = 0.0
-    return QuasiDistribution((smear @ real).view(values.dtype), dist.basis,
-                             dist.kind + "_eta")
+    log2_bound = sum(math.frexp(v)[1] for v in (
+        grid.size, max(smear.max(), -smear.min()), max(real.max(), -real.min())))
+    lift = min(500, max(0, 1000 - log2_bound))
+    smear *= 2.0 ** lift
+    out = smear @ real
+    out *= 2.0 ** -lift
+    return QuasiDistribution(out.view(values.dtype), dist.basis, dist.kind + "_eta")
 
 
 def marginal_over_xi(dist: QuasiDistribution) -> np.ndarray:

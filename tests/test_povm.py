@@ -24,7 +24,7 @@ from weakmeas import (
     weak_value,
     weak_value_from_distribution,
 )
-from weakmeas.povm import postselection_rule
+from weakmeas.povm import postselection_rule, smear_matrix
 from weakmeas.weakvalues import marginal_density
 
 
@@ -156,6 +156,31 @@ def test_gaussian_kernel_takes_the_exact_rule_with_or_without_grid():
     density = effective_marginal(rho, kernel)
     exact = marginal_density(phi, 1.0, 0.4, 0.3)
     assert np.max(np.abs(density(phi) - exact)) < 1e-12
+
+
+def test_smear_matrix_mirrors_half_of_a_symmetric_grid():
+    """A Gaussian kernel on a Gauss-Legendre grid's own nodes evaluates the
+    leading ceil(n/2) rows and mirrors the rest, bit for bit; a grid with an
+    inserted node and a custom kernel evaluate every row."""
+    from dataclasses import replace
+    from weakmeas import QuadratureGrid
+
+    gauss = gaussian_kernel(sigma_from_efficiency(0.8))
+    shapes = []
+
+    def recorded(a, b):
+        shapes.append(np.broadcast_shapes(np.shape(a), np.shape(b)))
+        return gauss.func(a, b)
+
+    kernel = replace(gauss, func=recorded)
+    sym = [QuadratureGrid.gauss_legendre(9.0, n) for n in (200, 201)]
+    for grid, kind, rows in [(g, "gaussian", (g.size + 1) // 2) for g in sym] + [
+            (sym[0].with_points([0.3]), "gaussian", 201), (sym[1], "custom", 201)]:
+        x = grid.points
+        shapes.clear()
+        got = smear_matrix(replace(kernel, kind=kind, grid=grid), x, grid)
+        assert shapes == [(rows, x.size)]
+        assert np.array_equal(got, gauss(x[:, None], x[None, :]) * grid.weights[None, :])
 
 
 def test_effective_marginal_vacuum_peak():

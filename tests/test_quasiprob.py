@@ -38,7 +38,7 @@ from weakmeas import (
     weak_value_from_distribution,
 )
 from weakmeas.povm import smear_matrix
-from weakmeas.quasiprob import _fourier_overlap
+from weakmeas.quasiprob import _cross_kernel, _fourier_overlap
 from conftest import random_density, random_hermitian
 
 
@@ -368,20 +368,57 @@ def test_effective_distribution_matches_dense_smear(rng, eta):
             assert np.max(np.abs(eff.values - ref)) <= bound, (name, src.kind)
 
 
-def test_effective_distribution_drops_sub_tiny_products(rng):
+def test_effective_distribution_keeps_sub_tiny_products(rng):
     # a narrow kernel on a wide grid: some smear weights times the largest
-    # value of their row fall below the smallest normal double, so the
-    # product skips them, and the result still meets the dense product
+    # value of their row fall below the smallest normal double; the product
+    # keeps them and meets the plain dense product bit for bit wherever the
+    # result is in normal range, and within one subnormal step per term below
     kernel = gaussian_kernel(sigma_from_efficiency(0.99))
     name, dist = next(c for c in _smear_cases(rng) if c[0] == "momentum")
     grid = dist.basis.phi_grid
     dense = smear_matrix(kernel, grid.points, grid)
     row_max = np.maximum(np.abs(dist.values.real), np.abs(dist.values.imag)).max(axis=1)
-    dropped = (dense > 0) & (dense * row_max < np.finfo(float).tiny)
-    assert np.count_nonzero(dropped) > 0
-    eff = effective_distribution(dist, kernel)
-    assert np.max(np.abs(eff.values - dense @ dist.values)) <= (
-        1e-14 * np.max(np.abs(dist.values)))
+    assert np.count_nonzero((dense > 0) & (dense * row_max < np.finfo(float).tiny)) > 0
+    eff = effective_distribution(dist, kernel).values.view(float)
+    ref = dense @ dist.values.view(float)
+    normal = np.abs(ref) >= 1e-290
+    assert np.array_equal(eff[normal], ref[normal])
+    assert np.max(np.abs(eff - ref)[~normal], initial=0.0) <= grid.size * 2.0 ** -1074
+
+
+def test_effective_distribution_large_custom_kernel_stays_finite(rng):
+    # a fixed 2^500 lift would overflow a kernel of scale 1e250
+    gauss = gaussian_kernel(sigma_from_efficiency(0.9))
+    name, dist = next(c for c in _smear_cases(rng) if c[0] == "momentum")
+    big = custom_kernel(lambda a, b: 1e250 * gauss(a, b), grid=dist.basis.phi_grid)
+    want = effective_distribution(dist, gauss).values
+    got = effective_distribution(dist, big).values
+    assert np.all(np.isfinite(got.view(float)))
+    assert np.max(np.abs(got / 1e250 - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_effective_distribution_of_zero_grid_is_zero():
+    basis = BasisPair.position_momentum(20, default_grid(dim=20, points=60))
+    zero = QuasiDistribution(np.zeros((60, 60), dtype=complex), basis, "S")
+    out = effective_distribution(zero, gaussian_kernel(0.5)).values
+    assert np.array_equal(out, np.zeros_like(out))
+
+
+def test_cross_kernel_on_few_rows_matches_full_grid_order(rng):
+    # a postselection row contracts as P^T (diag(i^-n) rho psi); the full
+    # grid keeps the rho^T diag(i^-n) P order
+    dim = 40
+    basis = BasisPair.position_momentum(dim, default_grid(dim=dim, points=200))
+    for rho in (random_density(dim, rng),
+                displaced_thermal_state(alpha_from_quadratures(1.3, 0.6), 0.4, dim)):
+        full = _cross_kernel(rho, basis, basis.phi_table)
+        scale = np.max(np.abs(rho.matrix))
+        for i in (0, 57, 100, 199):
+            row = _cross_kernel(rho, basis, basis.phi_table[:, [i]])
+            assert row.shape == (1, 200)
+            assert np.max(np.abs(row[0] - full[i])) <= 1e-15 * scale
+        rows = _cross_kernel(rho, basis, basis.phi_table[:, :99])
+        assert np.max(np.abs(rows - full[:99])) <= 1e-15 * scale
 
 
 def test_momentum_basis_matches_exponential_construction():
