@@ -17,11 +17,8 @@ from .fockspace import (
     coherent_state,
     default_grid,
     displaced_thermal_state,
-    glauber_p_displaced_thermal,
     make_operator,
     position_density,
-    position_kernel,
-    quadrature_wavefunction,
     thermal_state,
     wavefunction_table,
 )
@@ -46,7 +43,6 @@ from .quasiprob import (
     marginal_over_xi,
     negativity_scan,
     s_distribution,
-    s_representation,
     t_distribution,
     thermal_s,
     weak_value_from_distribution,

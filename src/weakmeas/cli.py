@@ -4,16 +4,17 @@ figure data, distribution grids and pointer simulations.
 Every command is deterministic given its flags.  ``figure`` and
 ``distribution`` write CSV grids whose 17-digit cells round-trip to the
 exact double.  Exit codes: 0 success, 1 usage error, 2 numerical-domain
-error, such as a non-finite number in any flag, or a weak value whose closed
-form and trace formula differ by more than ``TRACE_TOL`` in their real parts.
-A flat JSON config file can preload any flag of the command (``--config``);
-explicit flags win, and a key the command does not read exits 2.  The Fock
-truncation is 40 unless ``--dim`` or the config's ``dim`` sets it.
-``simulate`` couplings share the state flags, ``--epsilon``, ``--fock``,
-``--dim`` and ``--postselect-q``; besides those, each reads only its own
-(``_COUPLINGS``) and refuses another coupling's, by flag or config, with
-exit 2, as ``--fock`` refuses the displaced thermal state's.  The kerr meter
-reads the quadrature at right angles to its nonzero pointer amplitude beta.
+error, such as a non-finite number in any flag, or a weak value whose two
+routes, closed form and trace formula, differ by more than ``ROUTE_TOL`` in
+their real parts.  A flat JSON config file can preload any flag (``--config``):
+explicit flags win, a key the command does not read exits 2, and a value gets
+its flag's type and choices.  The Fock truncation is 40 unless ``--dim`` or
+the config's ``dim`` sets it.  ``simulate`` couplings share the state flags,
+``--epsilon``, ``--fock``, ``--dim`` and ``--postselect-q``; besides those,
+each reads only its own (``_COUPLINGS``) and refuses another coupling's, by
+flag or config, with exit 2, as ``--fock`` refuses the displaced thermal
+state's.  The kerr meter reads the quadrature at right angles to its nonzero
+pointer amplitude beta.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ __all__ = ["main", "build_parser", "FIGURES"]
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
-TRACE_TOL = 1e-6  # closed form against the dim-truncated trace formula, Re parts
+ROUTE_TOL = 1e-6  # closed form against the dim-truncated trace formula, Re parts
 DEFAULT_DIM = 40
 
 _PROFILE_BUILDERS = {
@@ -148,12 +149,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-r", type=float, default=None,
                    help="pointer-mode coherent amplitude (real quadrature)")
     p.add_argument("--beta-i", type=float, default=None)
+    for p in sub.choices.values():  # the config check reads each flag's action
+        p.set_defaults(actions={action.dest: action for action in p._actions})
     return parser
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flag value if given, else config value, else built-in default; a
-    config key outside ``defaults`` is refused."""
+    """Flag value if given, else config value, else built-in default.  A config
+    key outside ``defaults`` is refused, and so is a value its flag could not
+    give, by the flag's type (a float flag takes any JSON number) and choices."""
     cfg = {}
     if args.config:
         with open(args.config) as fh:
@@ -163,6 +167,15 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     unread = sorted(set(cfg) - set(defaults))
     if unread:
         raise ValueError(f"{args.command} does not read config key {' or '.join(unread)}")
+    for key, value in cfg.items():
+        action = args.actions[key]
+        kind = action.type or str
+        if type(value) not in {str: (str,), int: (int,), float: (int, float)}[kind]:
+            raise ValueError(f"config key {key} takes {kind.__name__}, got {json.dumps(value)}")
+        cfg[key] = kind(str(value))  # as the flag converts its text: 10**400 is inf
+        if action.choices is not None and cfg[key] not in action.choices:
+            raise ValueError(f"config key {key}: invalid choice {json.dumps(value)} "
+                             f"(choose from {', '.join(action.choices)})")
     merged = {}
     for key, fallback in defaults.items():
         flag = getattr(args, key, None)
@@ -213,9 +226,9 @@ def cmd_weak_value(args) -> int:
     nu = fockspace.make_operator(_OPERATOR_KINDS[opts["observable"]], dim)
     trace_value = weakvalues.weak_value(nu, rho, povm.gaussian_kernel(sigma_eta),
                                         opts["q"])
-    if not abs(value.real - trace_value.real) <= TRACE_TOL:
+    if not abs(value.real - trace_value.real) <= ROUTE_TOL:
         raise ValueError(f"closed form re = {value.real:.17g} and trace formula "
-                         f"re = {trace_value.real:.17g} differ by more than {TRACE_TOL:g} "
+                         f"re = {trace_value.real:.17g} differ by more than {ROUTE_TOL:g} "
                          f"at dim {dim}: the Fock truncation is too small for this state")
     density = weakvalues.marginal_density(opts["q"], opts["alpha_r"], opts["nth"],
                                           sigma_eta)
@@ -424,8 +437,6 @@ def cmd_simulate(args) -> int:
         "dim": DEFAULT_DIM, **dict.fromkeys(_STATE),
         **{key: None for _, own in _COUPLINGS.values() for key in own}})
     coupling = opts["coupling"]
-    if coupling not in _COUPLINGS:
-        raise ValueError(f"unknown coupling {coupling!r}: choose {', '.join(_COUPLINGS)}")
     simulate, defaults = _COUPLINGS[coupling]
     _refuse_given(opts, [key for _, flags in _COUPLINGS.values() for key in flags
                          if key not in defaults], f"--coupling {coupling}")

@@ -39,11 +39,8 @@ __all__ = [
     "coherent_state",
     "thermal_state",
     "displaced_thermal_state",
-    "quadrature_wavefunction",
     "wavefunction_table",
-    "position_kernel",
     "position_density",
-    "glauber_p_displaced_thermal",
     "default_grid",
 ]
 
@@ -103,12 +100,6 @@ class DensityOperator:
         evals = np.linalg.eigvalsh(self.matrix)
         if evals.min() < PSD_TOL:
             raise ValueError(f"eigenvalue {evals.min():.3e} below PSD tolerance {PSD_TOL}")
-
-    def expectation(self, operator: np.ndarray) -> complex:
-        return complex(np.trace(operator @ self.matrix))
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
 
 
 @dataclass(frozen=True)
@@ -235,18 +226,6 @@ class QuadratureGrid:
         x, w = leggauss(n)
         return cls(x * half_width, w * half_width)
 
-    @classmethod
-    def uniform(cls, half_width: float, n: int) -> "QuadratureGrid":
-        """Equispaced trapezoid rule of n >= 2 nodes; exact for piecewise-linear
-        integrands whose kinks fall on nodes (useful for non-smooth kernels)."""
-        if n < 2:
-            raise ValueError(f"a uniform (trapezoid) grid needs n >= 2 nodes, got {n}")
-        pts = np.linspace(-half_width, half_width, n)
-        h = pts[1] - pts[0]
-        w = np.full(n, h)
-        w[0] = w[-1] = h / 2.0
-        return cls(pts, w)
-
     def with_points(self, extra) -> "QuadratureGrid":
         """Insert zero-weight evaluation nodes (means and densities at exact
         locations; the quadrature itself is unchanged).  An extra point that is
@@ -256,9 +235,6 @@ class QuadratureGrid:
         wts = np.concatenate([self.weights, np.zeros(extra.size)])
         order = np.argsort(pts)
         return QuadratureGrid(pts[order], wts[order])
-
-    def integrate(self, values: np.ndarray):
-        return np.sum(self.weights * values, axis=-1)
 
 
 def default_grid(dim: int | None = None, alpha: complex = 0.0, n_th: float = 0.0,
@@ -457,24 +433,6 @@ def wavefunction_table(dim: int, q) -> np.ndarray:
     return np.ldexp(out, e) if far else out
 
 
-def quadrature_wavefunction(n: int, q):
-    """Position-representation wavefunction <q|n> of the n-th Fock state."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    scalar = np.isscalar(q)
-    table = wavefunction_table(n + 1, q)
-    return float(table[n, 0]) if scalar else table[n]
-
-
-def position_kernel(rho: DensityOperator, q: float, q2: float | None = None) -> complex:
-    """Matrix element <q|rho|q2> (the diagonal q2 = q when omitted)."""
-    if q2 is None:
-        q2 = q
-    left = wavefunction_table(rho.dim, q)[:, 0]
-    right = wavefunction_table(rho.dim, q2)[:, 0] if q2 != q else left
-    return complex(left @ rho.matrix @ right)
-
-
 def _psi_form(a: np.ndarray, table: np.ndarray) -> np.ndarray:
     """psi(x)^T a psi(x) per column of a real table, for real a (README numerical notes)."""
     return np.einsum("ni,ni->i", np.ascontiguousarray(a) @ table, table)
@@ -483,23 +441,3 @@ def _psi_form(a: np.ndarray, table: np.ndarray) -> np.ndarray:
 def position_density(rho: DensityOperator, q) -> np.ndarray:
     """Diagonal <q|rho|q> = psi(q)^T Re(rho) psi(q) over an array of positions."""
     return _psi_form(rho.matrix.real, wavefunction_table(rho.dim, q))
-
-
-def glauber_p_displaced_thermal(alpha: complex, n_th: float):
-    """Glauber-Sudarshan P-distribution of a displaced thermal state.
-
-    Returns the evaluable density gamma -> exp(-|gamma-alpha|^2/n_th)/(pi n_th),
-    nonnegative for every n_th > 0, which is what makes the state classical by
-    the P-function criterion even while its real-part quasi-distribution goes
-    negative.  At n_th = 0 the distribution degenerates to a delta and is not
-    representable as a function.
-    """
-    if n_th <= 0:
-        raise ValueError("n_th must be > 0; the P-distribution of a coherent state "
-                         "is a delta function, not an evaluable density")
-
-    def density(gamma):
-        gamma = np.asarray(gamma, dtype=complex)
-        return np.exp(-np.abs(gamma - alpha) ** 2 / n_th) / (np.pi * n_th)
-
-    return density

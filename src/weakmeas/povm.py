@@ -121,9 +121,6 @@ class ValidationReport:
     max_normalization_defect: float
     max_bias_defect: float
 
-    def passed(self) -> bool:
-        return self.max_normalization_defect <= 1e-8 and self.max_bias_defect <= 1e-8
-
 
 def validate(kernel: DetectorKernel, grid: QuadratureGrid) -> ValidationReport:
     """Measure normalization and bias defects of a kernel on a grid.

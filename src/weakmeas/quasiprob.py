@@ -49,7 +49,6 @@ __all__ = [
     "NegativityReport",
     "s_distribution",
     "t_distribution",
-    "s_representation",
     "effective_distribution",
     "marginal_over_xi",
     "marginal_over_phi",
@@ -59,9 +58,6 @@ __all__ = [
     "effective_thermal_s",
     "displaced_thermal_s",
 ]
-
-OVERLAP_THRESHOLD = 1e-12  # relative to the largest overlap magnitude
-
 
 @dataclass(frozen=True)
 class BasisPair:
@@ -216,33 +212,6 @@ def t_distribution(dist: QuasiDistribution) -> QuasiDistribution:
         raise ValueError(f"expected an S-kind distribution, got kind {dist.kind!r}")
     return QuasiDistribution(dist.values.real, dist.basis,
                              "T" if dist.kind == "S" else "T_eta")
-
-
-def s_representation(nu: Observable, basis: BasisPair) -> np.ndarray:
-    """c-number representation <phi|nu|xi>/<phi|xi> of an observable.
-
-    For the momentum basis this evaluates the operator's phase-space symbol,
-    which is exact; truncated matrix elements between two continuum states
-    are not trustworthy and are refused.  For discrete second bases, grid
-    points where the overlap is negligibly small (below 1e-12 of the peak)
-    are returned as NaN rather than fabricated.
-    """
-    if basis.xi_kind == "momentum":
-        if nu.phase_space_symbol is None:
-            raise ValueError(
-                "momentum-basis representation needs the observable's phase-space "
-                "symbol; truncated Fock matrices cannot resolve <q|nu|p>")
-        q = basis.phi_grid.points[:, None]
-        p = basis.xi_points[None, :]
-        return np.broadcast_to(nu.phase_space_symbol(q, p),
-                               (q.size, p.size)).astype(complex)
-    numerator = basis.phi_table.T @ nu.matrix @ basis.xi_matrix
-    mags = np.abs(basis.overlap)
-    bad = mags < OVERLAP_THRESHOLD * mags.max()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rep = numerator / basis.overlap
-    rep[bad] = np.nan
-    return rep
 
 
 def effective_distribution(dist: QuasiDistribution, kernel: DetectorKernel) -> QuasiDistribution:

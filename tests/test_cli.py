@@ -344,7 +344,7 @@ def test_simulate_refuses_unknown_coupling_from_config(capsys, tmp_path):
     cfg.write_text(json.dumps({"coupling": "optomechanical"}))
     code, out, err = run_cli(capsys, "--config", str(cfg), "simulate", "--dim", "16")
     assert code == 2 and out == ""
-    assert "unknown coupling 'optomechanical'" in err
+    assert 'config key coupling: invalid choice "optomechanical"' in err
 
 
 @pytest.mark.parametrize("flag", ["--readout-phase", "--pointer-center", "--pointer-boost"])
@@ -447,6 +447,26 @@ def test_non_finite_flag_refused(capsys, tmp_path, monkeypatch, argv, flag):
     assert f"{flag} must be finite" in err
 
 
+@pytest.mark.parametrize("command, config, key", [
+    (["weak-value"], {"observable": "x"}, "observable"),
+    (["simulate"], {"observable": "x"}, "observable"),
+    (["distribution"], {"xi_basis": "custom"}, "xi_basis"),
+    (["distribution"], {"kind": "Q"}, "kind"),
+    (["simulate"], {"fock": 2.5}, "fock"),
+    (["weak-value"], {"q": True}, "q"),
+], ids=["weak-value-observable", "simulate-observable", "xi_basis", "kind", "fock", "q"])
+def test_config_value_outside_its_flags_type_or_choices_is_refused(capsys, tmp_path,
+                                                                   monkeypatch, command,
+                                                                   config, key):
+    # a config value gets the type and the choices of its flag
+    monkeypatch.chdir(tmp_path)  # distribution writes into the cwd
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "--config", str(cfg), *command, "--dim", "16")
+    assert code == 2 and out == "" and f"config key {key}" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_non_finite_config_value_refused(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"alpha_r": NaN, "q": Infinity}')
@@ -506,7 +526,7 @@ def test_figure_refuses_flags_it_does_not_read(capsys, tmp_path, figure_id, flag
     assert code == 2 and out == "" and not path.exists()
     assert f"figure {figure_id} does not use {named}:" in err
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): float(value)
+    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): json.loads(value)
                                for flag, value in zip(flags[::2], flags[1::2])}))
     code, out, err = run_cli(capsys, "--config", str(cfg), "figure", figure_id,
                              "--output", str(path))
@@ -628,3 +648,28 @@ def test_readme_commands_run(capsys, tmp_path, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
         assert set(last_json(out)) == {"params", "results"}
+
+
+def test_readme_commands_give_the_same_record_by_config(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the commands write their files into the cwd
+
+    def value(text):  # a flag's text as JSON where it parses (numbers), else as text
+        try:
+            return json.loads(text)
+        except ValueError:
+            return text
+
+    def run(argv):
+        assert main(argv) == 0, argv
+        files = {}
+        for path in tmp_path.glob("*.csv"):
+            files[path.name] = path.read_bytes()
+            path.unlink()
+        return capsys.readouterr().out, files
+
+    cfg = tmp_path / "cfg.json"
+    for argv in _readme_cli_commands():
+        first = next(i for i, arg in enumerate(argv) if arg.startswith("--"))
+        cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value(text) for flag, text
+                                   in zip(argv[first::2], argv[first + 1::2])}))
+        assert run(["--config", str(cfg), *argv[:first]]) == run(argv)

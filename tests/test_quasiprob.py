@@ -29,7 +29,6 @@ from weakmeas import (
     QuadratureGrid,
     QuasiDistribution,
     s_distribution,
-    s_representation,
     sigma_from_efficiency,
     t_distribution,
     thermal_s,
@@ -39,7 +38,7 @@ from weakmeas import (
 )
 from weakmeas.povm import smear_matrix
 from weakmeas.quasiprob import _cross_kernel, _fourier_overlap
-from conftest import random_density, random_hermitian
+from conftest import random_density, random_hermitian, trapezoid_grid
 
 
 def _fock_projector(level: int, dim: int) -> DensityOperator:
@@ -125,35 +124,21 @@ def test_marginality_for_random_states(rng, xi_kind):
             assert np.max(np.abs(basis.phi_grid.weights @ values - expected_xi)) < 1e-6
 
 
+# the momentum-basis representation <q|nu|p>/<q|p> of an observable is its
+# phase-space symbol, which weak_value_from_distribution takes in that basis
 def test_kinetic_representation_is_squared_momentum():
     basis = BasisPair.position_momentum(40)
-    rep = s_representation(make_operator("momentum_squared", 40), basis)
-    expected = basis.xi_points[None, :] ** 2
-    assert np.max(np.abs(rep - expected)) < 1e-12
-
-
-def test_energy_representation_discrete():
-    basis = BasisPair.position_fock(30)
-    rep = s_representation(make_operator("hamiltonian", 30), basis)
-    expected = np.arange(30)[None, :] + 0.5
-    finite = np.isfinite(rep)
-    assert np.max(np.abs(rep[finite].real - np.broadcast_to(expected, rep.shape)[finite])) < 1e-9
-    assert np.max(np.abs(rep[finite].imag)) < 1e-9
+    q, p = basis.phi_grid.points[:, None], basis.xi_points[None, :]
+    rep = make_operator("momentum_squared", 40).phase_space_symbol(q, p)
+    assert rep.shape == (q.size, p.size)
+    assert np.max(np.abs(rep - p ** 2)) < 1e-12
 
 
 def test_energy_representation_phase_space():
     basis = BasisPair.position_momentum(30)
-    rep = s_representation(make_operator("hamiltonian", 30), basis)
-    q = basis.phi_grid.points[:, None]
-    p = basis.xi_points[None, :]
+    q, p = basis.phi_grid.points[:, None], basis.xi_points[None, :]
+    rep = make_operator("hamiltonian", 30).phase_space_symbol(q, p)
     assert np.max(np.abs(rep - (q * q + p * p) / 2.0)) < 1e-12
-
-
-def test_representation_flags_undefined_points():
-    grid = default_grid(dim=6, half_width=14.0)
-    basis = BasisPair.position_fock(6, grid)
-    rep = s_representation(make_operator("number", 6), basis)
-    assert np.isnan(rep).any()  # corners where <q|n> underflows are flagged
 
 
 def test_custom_basis_accepts_only_orthonormal_columns(rng):
@@ -331,7 +316,7 @@ def test_custom_kernel_smears_only_on_its_own_grid():
 
     with pytest.raises(ValueError, match="its own grid"):
         effective_distribution(dist, custom_kernel(triangle,
-                                                   grid=QuadratureGrid.uniform(8.0, 321)))
+                                                   grid=trapezoid_grid(8.0, 321)))
     # an equal copy of the grid is the same grid
     own = custom_kernel(triangle, grid=QuadratureGrid(basis.phi_grid.points.copy(),
                                                       basis.phi_grid.weights.copy()))

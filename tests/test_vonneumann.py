@@ -39,6 +39,7 @@ from weakmeas.fockspace import displacement_operator
 from weakmeas.povm import smear_matrix
 from weakmeas.vonneumann import position_density as joint_density
 from weakmeas import QuadratureGrid
+from conftest import trapezoid_grid
 from test_acceptance import _pointer_law_system, _second_order_shift
 
 
@@ -291,7 +292,7 @@ BOOSTED = PointerState.gaussian_mixture([(0.6, -0.8, 0.7, 0.5), (0.4, 1.0, 1.3)]
 # on the 161-node trapezoid readout grid of the table tests; a test that
 # integrates phi with it moves it onto its phi grid (``_on``)
 SMOOTH_CUSTOM = custom_kernel(gaussian_kernel(0.4).func, 0.4,
-                              grid=QuadratureGrid.uniform(16.0, 161))
+                              grid=trapezoid_grid(16.0, 161))
 
 
 def _on(kernel, grid):
@@ -449,8 +450,8 @@ def test_table_values_are_smeared_position_density():
                   for eta in (0.9, 0.99, 0.999)}}
     cases = [("eta 0.999", "projective"), ("eta 0.99", "gaussian"), ("eta 0.9", "custom"),
              ("custom", "custom"), ("projective", "gaussian")]  # (phi kernel, Q kernel)
-    phi_fine, q_fine = QuadratureGrid.uniform(14.0, 6000), QuadratureGrid.uniform(18.0, 361)
-    phi_grid, q_grid = default_grid(dim=dim), QuadratureGrid.uniform(16.0, 161)
+    phi_fine, q_fine = trapezoid_grid(14.0, 6000), trapezoid_grid(18.0, 361)
+    phi_grid, q_grid = default_grid(dim=dim), trapezoid_grid(16.0, 161)
     assert np.array_equal(SMOOTH_CUSTOM.grid.points, q_grid.points)
     rows = phi_grid.points[::8]
     failures = []
@@ -501,7 +502,7 @@ def test_exact_readout_matches_fine_table_route(pointer, n_th, kernel_phi):
     joints = [evolve_exact(rho, pointer, nu, e) for e in (eps, 0.0)]
     assert _rank(rho) == (1 if n_th == 0.0 else dim)
     _assert_state_is_rotated(joints[0], rho, nu)
-    q_grid = QuadratureGrid.uniform(16.0, 161)  # trapezoid: resolves the 0.3 Q smear
+    q_grid = trapezoid_grid(16.0, 161)  # trapezoid: resolves the 0.3 Q smear
     kernel_phi = _on(kernel_phi, default_grid(dim=dim, points=400).with_points([phi]))
 
     def tables(points, kernel_q):
@@ -759,7 +760,7 @@ def test_position_density_matches_dense_operator_oracle():
     pointer = PointerState.gaussian_mixture([(0.6, -0.5, 0.8, 0.7), (0.4, 0.9, 1.2)])
     phis = np.linspace(-2.5, 2.5, 5)
     Qs = np.linspace(-2.0, 8.0, 7)
-    phi_fine, q_fine = QuadratureGrid.uniform(6.0, 241), QuadratureGrid.uniform(11.0, 221)
+    phi_fine, q_fine = trapezoid_grid(6.0, 241), trapezoid_grid(11.0, 221)
     psi = wavefunction_table(dim, np.concatenate([phis, phi_fine.points]))
     phi_grid = default_grid(dim=dim, points=40).with_points(phis)
     q_grid = QuadratureGrid.gauss_legendre(30.0, 60).with_points(Qs)
