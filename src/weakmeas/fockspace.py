@@ -252,12 +252,6 @@ def default_grid(dim: int | None = None, alpha: complex = 0.0, n_th: float = 0.0
     return QuadratureGrid.gauss_legendre(half_width, points)
 
 
-def _mirrored_half(x: np.ndarray) -> int:
-    """Leading entries of ``x`` to evaluate: ceil(n/2) when x[::-1] == -x
-    exactly (every Gauss-Legendre grid), else all n."""
-    return (x.size + 1) // 2 if np.array_equal(x[::-1], -x) else x.size
-
-
 def _banded(dim: int, diagonals: dict[int, np.ndarray]) -> np.ndarray:
     """Complex dim x dim matrix with the given {offset: values} diagonals."""
     m = np.zeros((dim, dim), dtype=complex)

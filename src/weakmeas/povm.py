@@ -27,8 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fockspace import (DensityOperator, QuadratureGrid, _mirrored_half, _psi_form,
-                        hermite_rule, wavefunction_table)
+from .fockspace import DensityOperator, QuadratureGrid, _psi_form, hermite_rule, wavefunction_table
 
 __all__ = [
     "DetectorKernel",
@@ -203,21 +202,29 @@ def smear_matrix(kernel: DetectorKernel, outcomes: np.ndarray,
     """Quadrature matrix K with (K f)[i] = integral dx Pi(outcome_i, x) f(x).
 
     For projective kernels the outcomes must coincide with the grid nodes,
-    where smearing is the identity.  A Gaussian kernel on the nodes of a grid
-    with x[::-1] == -x and mirrored weights (every Gauss-Legendre grid) is
-    evaluated on rows [0, ceil(n/2)) only: -x_k - (-x_i) = -(x_k - x_i)
-    exactly, so K[n-1-k, n-1-i] = K[k, i] bit for bit.
+    where smearing is the identity.  A Gaussian row is evaluated only within
+    r = sigma_eta sqrt(106 ln 2) of its outcome, beyond which Pi(phi, x) <
+    2^-53 Pi(phi, phi), and is exactly 0 elsewhere, so no exp underflows.
+    A custom kernel is evaluated at every node.
     """
     outcomes = np.asarray(outcomes, dtype=float)
+    if not np.all(np.isfinite(outcomes)):
+        raise ValueError("outcomes must be finite, got "
+                         f"{outcomes[~np.isfinite(outcomes)].tolist()}")
     x, w, n = grid.points, grid.weights, outcomes.size
     if kernel.is_projective:
         if outcomes.shape != x.shape or not np.allclose(outcomes, x, rtol=0.0, atol=1e-12):
             raise ValueError("projective smearing requires outcomes identical to grid nodes")
         return np.eye(n)
-    mirrored = kernel.kind == "gaussian" and np.array_equal(w[::-1], w)
-    half = _mirrored_half(x) if mirrored and np.array_equal(outcomes, x) else n
-    out = np.empty((n, x.size))
-    np.multiply(kernel(outcomes[:half, None], x[None, :]), w, out=out[:half])
-    if half < n:
-        out[half:] = out[n // 2 - 1::-1, ::-1]
+    if kernel.kind != "gaussian":
+        return kernel(outcomes[:, None], x[None, :]) * w
+    out = np.zeros((n, x.size))  # before the band's temporaries, whose heap is then reused
+    reach = math.sqrt(106.0 * math.log(2.0)) * kernel.width_sigma_eta
+    lo = np.searchsorted(x, outcomes - reach)
+    counts = np.searchsorted(x, outcomes + reach, side="right") - lo
+    # the band in row order: row k holds nodes lo[k], ..., lo[k] + counts[k] - 1
+    cols = np.repeat(lo + counts - np.cumsum(counts), counts) + np.arange(counts.sum())
+    band = kernel(np.repeat(outcomes, counts), x[cols]) * w[cols]
+    cols += np.repeat(np.arange(0, out.size, x.size), counts)  # now the flat index
+    out.reshape(-1)[cols] = band
     return out

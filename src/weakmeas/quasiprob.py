@@ -37,7 +37,6 @@ from .fockspace import (
     DensityOperator,
     Observable,
     QuadratureGrid,
-    _mirrored_half,
     default_grid,
     wavefunction_table,
 )
@@ -135,6 +134,12 @@ class BasisPair:
         return phi_defect, xi_defect
 
 
+def _mirrored_half(x: np.ndarray) -> int:
+    """Leading entries of ``x`` to evaluate: ceil(n/2) when x[::-1] == -x
+    exactly (every Gauss-Legendre grid), else all n."""
+    return (x.size + 1) // 2 if np.array_equal(x[::-1], -x) else x.size
+
+
 def _fourier_overlap(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """<q_i|p_j> = exp(i p_j q_i)/sqrt(2 pi), from cos and sin written into the
     real and imaginary parts of one array; bit-identical to ``np.exp(1j * qp)``,
@@ -214,16 +219,17 @@ def t_distribution(dist: QuasiDistribution) -> QuasiDistribution:
                              "T" if dist.kind == "S" else "T_eta")
 
 
+_SMEAR_ROW_BLOCK = 32  # rows per block of the smear product; measured against 16, 24, 48 and 64
+
+
 def effective_distribution(dist: QuasiDistribution, kernel: DetectorKernel) -> QuasiDistribution:
     """Convolve the phi axis with a detector kernel.
 
-    The real smear matrix K of ``smear_matrix`` multiplies the interleaved
-    real view of the values, (n_phi, 2 n_xi) for S kinds, in one real
-    product, taken as ((K 2^e) V) 2^-e.  A power-of-two scaling is exact, so
-    it moves no bit and drops no term, while the subnormal weights of an
-    underflowing kernel tail and their products, which slow BLAS sharply, are
-    lifted into normal range; e <= 500 keeps n_phi max|K| max|V| 2^e below
-    2^1000, so no sum overflows.
+    Weights of the real smear matrix K of ``smear_matrix`` below 2^-53 of their
+    row's largest are dropped, which moves a value by at most n_phi 2^-53
+    max_i K[k, i] max|V|; each block of rows of K then multiplies the
+    interleaved real view V of the values (n_phi, 2 n_xi for S kinds) over the
+    columns the block keeps, so no sub-tiny weight reaches BLAS.
     The smear integrates on the distribution's phi grid, so a custom kernel
     whose own grid has other nodes or weights is refused.
     """
@@ -239,12 +245,15 @@ def effective_distribution(dist: QuasiDistribution, kernel: DetectorKernel) -> Q
     values = np.ascontiguousarray(dist.values)
     real = values.view(float)
     smear = smear_matrix(kernel, grid.points, grid)
-    log2_bound = sum(math.frexp(v)[1] for v in (
-        grid.size, max(smear.max(), -smear.min()), max(real.max(), -real.min())))
-    lift = min(500, max(0, 1000 - log2_bound))
-    smear *= 2.0 ** lift
-    out = smear @ real
-    out *= 2.0 ** -lift
+    out = np.empty_like(real)
+    for start in range(0, grid.size, _SMEAR_ROW_BLOCK):
+        rows = slice(start, start + _SMEAR_ROW_BLOCK)
+        size = np.abs(smear[rows])
+        drop = size < 2.0 ** -53 * size.max(axis=1, keepdims=True)
+        smear[rows][drop] = 0.0
+        kept = np.flatnonzero(~drop.all(axis=0))
+        cols = slice(kept[0], kept[-1] + 1)
+        np.matmul(smear[rows, cols], real[cols], out=out[rows])
     return QuasiDistribution(out.view(values.dtype), dist.basis, dist.kind + "_eta")
 
 

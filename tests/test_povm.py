@@ -157,29 +157,58 @@ def test_gaussian_kernel_takes_the_exact_rule_with_or_without_grid():
     assert np.max(np.abs(density(phi) - exact)) < 1e-12
 
 
-def test_smear_matrix_mirrors_half_of_a_symmetric_grid():
-    """A Gaussian kernel on a Gauss-Legendre grid's own nodes evaluates the
-    leading ceil(n/2) rows and mirrors the rest, bit for bit; a grid with an
-    inserted node and a custom kernel evaluate every row."""
+def test_smear_matrix_evaluates_a_gaussian_only_within_reach():
+    """A Gaussian row is evaluated only at the nodes within sigma_eta
+    sqrt(106 ln 2) of its outcome, where the table equals kernel x weight bit
+    for bit, and is exactly 0 beyond, where the kernel is below 2^-53 of its
+    peak; on symmetric and asymmetric grids and at outcomes off the grid.  A
+    custom kernel is evaluated at every node."""
     from dataclasses import replace
     from weakmeas import QuadratureGrid
 
-    gauss = gaussian_kernel(sigma_from_efficiency(0.8))
-    shapes = []
+    seen = []
 
-    def recorded(a, b):
-        shapes.append(np.broadcast_shapes(np.shape(a), np.shape(b)))
-        return gauss.func(a, b)
+    def recording(func):
+        def recorded(a, b):
+            seen.append(np.abs(np.asarray(a) - np.asarray(b)))
+            return func(a, b)
+        return recorded
 
-    kernel = replace(gauss, func=recorded)
     sym = [QuadratureGrid.gauss_legendre(9.0, n) for n in (200, 201)]
-    for grid, kind, rows in [(g, "gaussian", (g.size + 1) // 2) for g in sym] + [
-            (sym[0].with_points([0.3]), "gaussian", 201), (sym[1], "custom", 201)]:
-        x = grid.points
-        shapes.clear()
-        got = smear_matrix(replace(kernel, kind=kind, grid=grid), x, grid)
-        assert shapes == [(rows, x.size)]
-        assert np.array_equal(got, gauss(x[:, None], x[None, :]) * grid.weights[None, :])
+    grids = sym + [sym[0].with_points([0.3, 1.7]), QuadratureGrid.gauss_legendre(7.0, 150)]
+    for eta in (0.5, 0.9, 0.999):
+        gauss = gaussian_kernel(sigma_from_efficiency(eta))
+        reach = gauss.width_sigma_eta * math.sqrt(106.0 * math.log(2.0))
+        assert gauss(0.0, reach) / gauss(0.0, 0.0) == pytest.approx(2.0 ** -53)
+        kernel = replace(gauss, func=recording(gauss.func))
+        for grid in grids:
+            x = grid.points
+            for outcomes in (x, np.linspace(-9.5, 9.5, 37)):
+                seen.clear()
+                got = smear_matrix(kernel, outcomes, grid)
+                full = gauss(outcomes[:, None], x[None, :]) * grid.weights[None, :]
+                dist = np.abs(outcomes[:, None] - x[None, :])
+                inside, outside = dist <= reach * (1 - 1e-12), dist > reach * (1 + 1e-12)
+                assert np.array_equal(got[inside], full[inside])
+                assert not got[outside].any()
+                edge = ~inside & ~outside
+                assert np.all((got[edge] == 0) | (got[edge] == full[edge]))
+                (evaluated,) = seen
+                assert np.count_nonzero(inside) <= evaluated.size <= np.count_nonzero(~outside)
+                assert np.all(evaluated <= reach * (1 + 1e-12))
+    grid = sym[1]
+    seen.clear()
+    got = smear_matrix(custom_kernel(recording(gauss.func), grid=grid), grid.points, grid)
+    assert [e.shape for e in seen] == [(201, 201)]
+    assert np.array_equal(got, gauss(grid.points[:, None], grid.points[None, :]) * grid.weights)
+
+
+def test_smear_matrix_refuses_non_finite_outcomes():
+    grid = default_grid(dim=20, points=60)
+    for kernel in (gaussian_kernel(0.3), custom_kernel(gaussian_kernel(0.3).func, grid=grid)):
+        for bad in ([math.nan, 0.0], [0.0, math.inf], [-math.inf]):
+            with pytest.raises(ValueError, match=r"finite.*(nan|inf)"):
+                smear_matrix(kernel, bad, grid)
 
 
 def test_effective_marginal_vacuum_peak():

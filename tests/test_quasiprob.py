@@ -353,22 +353,98 @@ def test_effective_distribution_matches_dense_smear(rng, eta):
             assert np.max(np.abs(eff.values - ref)) <= bound, (name, src.kind)
 
 
-def test_effective_distribution_keeps_sub_tiny_products(rng):
-    # a narrow kernel on a wide grid: some smear weights times the largest
-    # value of their row fall below the smallest normal double; the product
-    # keeps them and meets the plain dense product bit for bit wherever the
-    # result is in normal range, and within one subnormal step per term below
-    kernel = gaussian_kernel(sigma_from_efficiency(0.99))
-    name, dist = next(c for c in _smear_cases(rng) if c[0] == "momentum")
-    grid = dist.basis.phi_grid
-    dense = smear_matrix(kernel, grid.points, grid)
-    row_max = np.maximum(np.abs(dist.values.real), np.abs(dist.values.imag)).max(axis=1)
-    assert np.count_nonzero((dense > 0) & (dense * row_max < np.finfo(float).tiny)) > 0
-    eff = effective_distribution(dist, kernel).values.view(float)
-    ref = dense @ dist.values.view(float)
-    normal = np.abs(ref) >= 1e-290
-    assert np.array_equal(eff[normal], ref[normal])
-    assert np.max(np.abs(eff - ref)[~normal], initial=0.0) <= grid.size * 2.0 ** -1074
+def _dense_smear_cases():
+    """(label, S distribution, kernel, kernel scale): Gaussian kernels from eta
+    0.5 to 0.9999 on the fock and momentum bases over 200-, 201- and 400-node
+    Gauss-Legendre grids and a grid with inserted nodes, and custom kernels
+    with subnormal tails and of scale 1e250."""
+    dim = 40
+    alpha = alpha_from_quadratures(1.3, 0.6)
+    rho = displaced_thermal_state(alpha, 0.4, dim)
+    g200 = default_grid(dim=dim, alpha=alpha, n_th=0.4, points=200)
+    grids = (g200, default_grid(dim=dim, alpha=alpha, n_th=0.4, points=201),
+             default_grid(dim=dim, alpha=alpha, n_th=0.4, points=400),
+             g200.with_points([0.3, 1.7]))
+    for grid in grids:
+        for name, basis in (("fock", BasisPair.position_fock(dim, grid)),
+                            ("momentum", BasisPair.position_momentum(dim, grid, grid))):
+            dist = s_distribution(rho, basis)
+            for eta in (0.5, 0.9, 0.99, 0.999, 0.9999):
+                yield f"{name} {grid.size} eta={eta}", dist, gaussian_kernel(
+                    sigma_from_efficiency(eta)), 1.0
+    gauss = gaussian_kernel(sigma_from_efficiency(0.999))
+    tails = custom_kernel(gauss.func, grid=grids[2])
+    x = grids[2].points
+    table = gauss(x[:, None], x[None, :])
+    assert np.any((table > 0) & (table < np.finfo(float).tiny))
+    big = custom_kernel(lambda a, b: 1e250 * gauss(a, b), grid=grids[2])
+    for kernel, scale in ((tails, 1.0), (big, 1e250)):
+        yield f"custom x{scale:g}", s_distribution(
+            rho, BasisPair.position_momentum(dim, grids[2], grids[2])), kernel, scale
+
+
+def test_effective_distribution_matches_full_dense_product():
+    # dropping weights below 2^-53 of their row's largest, and multiplying
+    # row blocks over their kept columns only, stays within round-off of the
+    # full product kernel(x, x) w @ V, sub-tiny and subnormal weights included
+    for label, dist, kernel, scale in _dense_smear_cases():
+        x, w = dist.basis.phi_grid.points, dist.basis.phi_grid.weights
+        full = kernel(x[:, None], x[None, :]) * w
+        for src in (dist, t_distribution(dist)):
+            got = effective_distribution(src, kernel).values
+            ref = full @ src.values
+            bound = 1e-14 * scale * np.max(np.abs(src.values))
+            assert np.max(np.abs(got - ref)) <= bound, (label, src.kind)
+
+
+class _RecordedMatmul(np.ndarray):
+    """Smear table whose views append a copy of each left operand of np.matmul
+    to the shared list ``left_operands``."""
+
+    def __array_finalize__(self, obj):
+        self.left_operands = getattr(obj, "left_operands", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        def plain(arrays):
+            return [np.asarray(a) if isinstance(a, _RecordedMatmul) else a for a in arrays]
+
+        out = kwargs.get("out")
+        if out is not None:
+            kwargs["out"] = tuple(plain(out))
+        if ufunc is np.matmul:
+            self.left_operands.append(np.array(inputs[0]))
+        result = getattr(ufunc, method)(*plain(inputs), **kwargs)
+        return out[0] if out is not None and len(out) == 1 else result
+
+
+def test_effective_distribution_multiplies_no_sub_tiny_weight(monkeypatch):
+    # every weight that reaches the product is 0 or at least 2^-53 of the
+    # largest weight of its row, which the block keeps, and every row is
+    # multiplied once
+    import weakmeas.quasiprob as quasiprob
+
+    tables = []
+
+    def recorded(kernel, outcomes, grid):
+        table = smear_matrix(kernel, outcomes, grid).view(_RecordedMatmul)
+        table.left_operands = []
+        tables.append((np.asarray(table).copy(), table.left_operands))
+        return table
+
+    monkeypatch.setattr(quasiprob, "smear_matrix", recorded)
+    sub_tiny_tables = 0
+    for label, dist, kernel, scale in _dense_smear_cases():
+        tables.clear()
+        effective_distribution(dist, kernel)
+        ((table, blocks),) = tables
+        floor = 2.0 ** -53 * np.abs(table).max(axis=1)
+        sub_tiny_tables += np.any((table != 0) & (np.abs(table) < floor[:, None]))
+        assert sum(b.shape[0] for b in blocks) == table.shape[0], label
+        for block in blocks:
+            size = np.abs(block)
+            kept_floor = 2.0 ** -53 * size.max(axis=1, keepdims=True)
+            assert np.all((size == 0) | (size >= kept_floor)), label
+    assert sub_tiny_tables > 0
 
 
 def test_effective_distribution_large_custom_kernel_stays_finite(rng):
