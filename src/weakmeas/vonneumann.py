@@ -347,8 +347,9 @@ def joint_distribution(joint: JointState,
         Q_grid = _default_pointer_grid(joint)
     # the readout law assumes the pointer density dies off inside the grid: the
     # occupation-weighted densities of the translated components (j = l pairs)
-    diagonal = np.arange(joint.nu_eigvals.size)
-    borders = _pair_gaussians(joint, diagonal, diagonal, Q_grid.points[[0, -1]]).real
+    pointer, s = joint.pointer, joint.shifts[:, None]
+    borders = sum(w * _gaussian(Q_grid.points[[0, -1]], c + s, v) for w, c, v in
+                  zip(pointer.weights, pointer.centers, pointer.sigmas ** 2))
     border_density = float(np.max(joint.state.diagonal().real @ borders))
     if border_density > 1e-12:
         warnings.warn(f"pointer density {border_density:.2e} at the readout-grid "
@@ -393,13 +394,13 @@ def pointer_shift(joint: JointState, kernel_phi: DetectorKernel, phi: float) -> 
     rule = postselection_rule(kernel_phi, phi, joint.nu_eigvals.size)
     coef = _postselection_matrices(joint, *rule)[0] * joint.state
     pointer, nu = joint.pointer, joint.nu_eigvals
-    x = _pair_exponents(pointer, joint.shifts)
-    m0 = np.tensordot(pointer.weights, np.exp(x), 1)
+    x = _pair_exponents(pointer, joint.shifts).reshape(pointer.weights.size, -1)
+    m0 = (pointer.weights @ np.exp(x)).reshape(coef.shape)
     probability = float(np.sum(coef * m0).real)
     if float(np.sum(coef).real) < 1e-12 or probability < 1e-12:
         raise ValueError(f"postselection probability at phi={phi} is below 1e-12")
-    mean = np.average(pointer.centers, weights=pointer.weights)
-    n = (np.tensordot(pointer.weights * (pointer.centers - mean), np.expm1(x), 1) / eps
+    mean = np.multiply(pointer.centers, pointer.weights).sum() / pointer.weights.sum()
+    n = (((pointer.weights * (pointer.centers - mean)) @ np.expm1(x)).reshape(coef.shape) / eps
          + 0.5 * (nu[:, None] + nu[None, :]) * m0)
     return float(np.sum(coef * n).real) / probability
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+import weakmeas
 from weakmeas import displaced_thermal_state, position_density
 from weakmeas.cli import _write_csv, main
 
@@ -612,13 +613,19 @@ def test_distribution_smear_defect_is_null_when_grid_cannot_probe(capsys, tmp_pa
     assert results["smear_normalization_defect"] is None
 
 
-def test_benchmark_cli_round_passes_its_checks(capsys, tmp_path):
-    """One round of the benchmark's cold CLI mix, run in process and held to
-    the benchmark's own check, so a record field it reads cannot go unseen."""
+def _benchmark_workloads():
+    """``perfbench/workloads.py``, loaded by path."""
     path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_cli_round_passes_its_checks(capsys, tmp_path):
+    """One round of the benchmark's cold CLI mix, run in process and held to
+    the benchmark's own check, so a record field it reads cannot go unseen."""
+    workloads = _benchmark_workloads()
     cli_cold = workloads.CliCold(101)
     out_path = str(tmp_path / "output.csv")
     failures = []
@@ -630,6 +637,17 @@ def test_benchmark_cli_round_passes_its_checks(capsys, tmp_path):
         result["rows"], _ = workloads.read_output(out_path)
         failures.append(cli_cold.check(None, params, result))
     assert cli_cold.ROUND == 15 and failures == [None] * 15
+
+
+def test_benchmark_pointer_round_passes_its_checks():
+    """One seed-101 round of the benchmark's pointer simulations, run in process
+    and held to the benchmark's own check against the closed-form weak value."""
+    pointer_sim = _benchmark_workloads().PointerSim(101)
+    failures = []
+    for k in range(pointer_sim.ROUND):
+        params = pointer_sim.inputs(k)
+        failures.append(pointer_sim.check(weakmeas, params, pointer_sim.run(weakmeas, params)))
+    assert pointer_sim.ROUND == 16 and failures == [None] * 16
 
 
 def _readme_cli_commands():

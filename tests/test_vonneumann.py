@@ -288,6 +288,44 @@ def test_narrow_readout_grid_warns():
         joint_distribution(joint, Q_grid=QuadratureGrid.gauss_legendre(3.0, 80))
 
 
+@pytest.mark.parametrize("pointer", [
+    PointerState.gaussian(0.8, 0.3),
+    PointerState.gaussian_mixture([(0.6, -0.8, 0.7), (0.4, 1.0, 1.3)]),
+    PointerState.gaussian_mixture([(0.6, -0.8, 0.7, 0.5), (0.4, 1.0, 1.3)]),
+], ids=["gaussian", "mixture", "boosted"])
+def test_border_density_is_the_diagonal_of_the_pair_gaussians(pointer, monkeypatch):
+    """The border check sums w_c N(Q; c_c + s_j, sigma_c^2) in closed form; it
+    equals the j = l pairs of ``_pair_gaussians`` bit for bit.  A boosted
+    pointer's pairs are complex, and numpy multiplies the strided real view of
+    them in another order, so that product agrees to rounding."""
+    from weakmeas.vonneumann import _pair_gaussians
+
+    dim = 16
+    rho = displaced_thermal_state(alpha_from_quadratures(0.7, -0.4), 0.3, dim)
+    phi_grid, q_grid = default_grid(dim=dim), QuadratureGrid.gauss_legendre(4.0, 80)
+    reduced, real_max = [], np.max
+
+    def recorded_max(a, *args, **kwargs):
+        reduced.append(np.array(a))
+        return real_max(a, *args, **kwargs)
+
+    for eps in (0.0, 0.1, -0.35, 1.5):
+        joint = evolve_exact(rho, pointer, make_operator("hamiltonian", dim), eps)
+        d = np.arange(dim)
+        pairs = _pair_gaussians(joint, d, d, q_grid.points[[0, -1]])
+        expected = joint.state.diagonal().real @ np.ascontiguousarray(pairs.real)
+        reduced.clear()
+        monkeypatch.setattr(np, "max", recorded_max)
+        with pytest.warns(UserWarning, match="border"):
+            joint_distribution(joint, None, None, phi_grid, q_grid)
+        monkeypatch.undo()
+        assert len(reduced) == 1
+        assert reduced[0].tobytes() == expected.tobytes()
+        assert np.iscomplexobj(pairs) == bool(np.any(pointer.boosts))
+        np.testing.assert_allclose(reduced[0], joint.state.diagonal().real @ pairs.real,
+                                   rtol=1e-15, atol=0.0)
+
+
 BOOSTED = PointerState.gaussian_mixture([(0.6, -0.8, 0.7, 0.5), (0.4, 1.0, 1.3)])
 # on the 161-node trapezoid readout grid of the table tests; a test that
 # integrates phi with it moves it onto its phi grid (``_on``)
@@ -331,6 +369,7 @@ def test_one_eigh_per_observable_and_one_postselection_matrix_per_shift(monkeypa
 
     dim, eps, phi = 24, 1e-3, 0.5
     rho = displaced_thermal_state(alpha_from_quadratures(1.0, 0.2), 0.4, dim)
+    make_operator.cache_clear()  # the operator below must be built, and diagonalized, here
     nu = make_operator("momentum_squared", dim)
     calls = []
     for name in ("eigh", "eigvalsh", "eig"):
@@ -846,6 +885,7 @@ def test_non_finite_readout_phase_refused(phase):
 
 
 def test_hermiticity_is_checked_once_per_observable(monkeypatch):
+    make_operator.cache_clear()  # the operators below must be built, and checked, here
     calls = []
     real = Observable.hermiticity_defect.func
 
@@ -866,6 +906,32 @@ def test_hermiticity_is_checked_once_per_observable(monkeypatch):
     other = make_operator("number", dim)
     evolve_exact(rho, pointer, other, 1e-3)
     assert calls == [nu, other]
+
+
+def test_make_operator_shares_one_read_only_operator_per_kind_and_dim(monkeypatch):
+    for kind in ("number", "momentum", "annihilation"):
+        op = make_operator(kind, 9)
+        assert make_operator(kind, 9) is op and make_operator(kind, 10) is not op
+        for array in (op.matrix, *op.eigensystem):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, ...] = 0.0
+    make_operator.cache_clear()
+    rho = displaced_thermal_state(0.4, 0.2, 12)
+    pointer = PointerState.gaussian(1.0)
+    calls, real_eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for eps in (1e-3, 5e-4, 0.0):
+        evolve_exact(rho, pointer, make_operator("hamiltonian", 12), eps)
+    for eps in (1e-3, 5e-4):
+        joint = evolve_exact(rho, pointer, make_operator("hamiltonian", 12), eps)
+        assert math.isfinite(pointer_shift(joint, gaussian_kernel(0.3), 0.2))
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], make_operator("hamiltonian", 12).matrix)
 
 
 def test_non_hermitian_observable_refused():
