@@ -54,7 +54,6 @@ from .vonneumann import (
     PointerState,
     QubitPointerResult,
     UnsupportedPointerError,
-    check_zero_current,
     conditional_pointer_shift,
     evolve_exact,
     evolve_further,

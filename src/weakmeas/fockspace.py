@@ -106,8 +106,10 @@ class DensityOperator:
 class Observable:
     """Operator on the truncated Fock basis, tagged with its spectral floor.
 
-    ``spectrum_lower_bound`` is -inf for unbounded-below observables; it is
-    what strange-value classification compares readouts against.
+    ``spectrum_lower_bound`` is the infimum of the untruncated operator's
+    spectrum (0 for the number operator and p^2, 1/2 for the energy), -inf
+    for an observable unbounded below or built without one.  Strange-value
+    classification does not read it.
 
     ``phase_space_symbol``, when present, evaluates <q|op|p> / <q|p> as a
     c-number s(q, p).  It exists for operators that are sums of pure powers

@@ -20,14 +20,14 @@ evolved state alone, a closed form in the pair overlaps over the same rule,
 with no table.
 ``conditional_pointer_shift`` only looks up a node of a table's phi axis.
 
-Pointers may be arbitrary Gaussian mixtures.  The first-order readout law
-(conditional pointer mean shifted by eps * Re nu_w) requires only that the
-pointer current density vanishes,
+Pointers are mixtures of real Gaussian wavefunctions.  The first-order
+readout law (conditional pointer mean shifted by eps * Re nu_w) requires
+that the pointer current density vanishes,
 
     j(Q) = (1/2) <Q|(P rho_a + rho_a P)|Q> = 0,
 
-which every mixture of real (unboosted) wavefunctions satisfies;
-``check_zero_current`` measures the violation for anything else.
+and every such mixture satisfies it; a pointer with position-momentum
+correlation would mix Im nu_w into the shift (Jozsa, PRA 76, 044103 (2007)).
 
 Two physical couplings where the pointer is not a free particle are
 simulated exactly as well: a second field mode coupled through the
@@ -69,10 +69,8 @@ from .weakvalues import weak_value
 __all__ = [
     "UnsupportedPointerError",
     "PointerState",
-    "CurrentReport",
     "JointState",
     "JointOutcomeTable",
-    "check_zero_current",
     "evolve_exact",
     "evolve_further",
     "position_density",
@@ -94,10 +92,9 @@ class UnsupportedPointerError(TypeError):
 class PointerState:
     """Auxiliary readout system in one of two representations.
 
-    * ``gaussian_mixture`` -- weights/centers/sigmas/boosts arrays; component
-      wavefunctions (2 pi s^2)^(-1/4) exp(-(Q-Q0)^2/(4 s^2)) exp(i k Q), with
-      sigma the standard deviation of the position density.  Nonzero boosts
-      k violate the zero-current condition and exist to exercise the check.
+    * ``gaussian_mixture`` -- weights/centers/sigmas arrays; component
+      wavefunctions (2 pi s^2)^(-1/4) exp(-(Q-Q0)^2/(4 s^2)), real, with
+      sigma the standard deviation of the position density.
     * ``qubit``            -- equatorial Bloch state (1 + s_x sx + s_y sy)/2.
     """
 
@@ -105,31 +102,29 @@ class PointerState:
     weights: np.ndarray | None = None
     centers: np.ndarray | None = None
     sigmas: np.ndarray | None = None
-    boosts: np.ndarray | None = None
     s_x: float = 0.0
     s_y: float = 0.0
 
     @classmethod
-    def gaussian(cls, sigma: float = 1.0, center: float = 0.0,
-                 boost: float = 0.0) -> "PointerState":
-        return cls.gaussian_mixture([(1.0, center, sigma, boost)])
+    def gaussian(cls, sigma: float = 1.0, center: float = 0.0) -> "PointerState":
+        return cls.gaussian_mixture([(1.0, center, sigma)])
 
     @classmethod
     def gaussian_mixture(cls, components) -> "PointerState":
-        """components: iterable of (weight, center, sigma[, boost])."""
+        """components: iterable of (weight, center, sigma) triples."""
         comps = [tuple(c) for c in components]
-        w = np.array([c[0] for c in comps], dtype=float)
-        q0 = np.array([c[1] for c in comps], dtype=float)
-        s = np.array([c[2] for c in comps], dtype=float)
-        k = np.array([c[3] if len(c) > 3 else 0.0 for c in comps], dtype=float)
-        for name, values in (("weights", w), ("centers", q0), ("sigmas", s), ("boosts", k)):
+        if any(len(c) != 3 for c in comps):
+            raise ValueError(f"mixture components are (weight, center, sigma) triples, "
+                             f"got {comps}")
+        w, q0, s = (np.array([c[i] for c in comps], dtype=float) for i in range(3))
+        for name, values in (("weights", w), ("centers", q0), ("sigmas", s)):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"mixture {name} must be finite, got {values.tolist()}")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must be nonnegative and sum to 1")
         if np.any(s <= 0):
             raise ValueError("component widths must be positive")
-        return cls("gaussian_mixture", weights=w, centers=q0, sigmas=s, boosts=k)
+        return cls("gaussian_mixture", weights=w, centers=q0, sigmas=s)
 
     @classmethod
     def qubit(cls, s_x: float, s_y: float) -> "PointerState":
@@ -143,10 +138,9 @@ class PointerState:
 
 @dataclass(frozen=True)
 class CurrentReport:
-    """Largest pointer current-density magnitude found, and where."""
+    """Largest pointer current-density magnitude."""
 
     max_violation: float
-    location: float  # grid position; NaN for qubit pointers
 
 
 def _gaussian(Q, mean, var):
@@ -155,21 +149,12 @@ def _gaussian(Q, mean, var):
 
 
 def check_zero_current(pointer: PointerState) -> CurrentReport:
-    """Current density j(Q) = Re <Q|P rho_a|Q> of the pointer state.
-
-    Real Gaussian mixtures carry none; a boost k makes j = k * density.  For
-    qubit pointers the analogous condition, on the two sigma_x eigenstates,
-    holds identically, since every qubit pointer is equatorial.
+    """Current density j(Q) = Re <Q|P rho_a|Q> of the pointer state: none for
+    every pointer, since each Gaussian component is real and every qubit
+    pointer is equatorial (sigma_z rho_b + rho_b sigma_z = sigma_z, whose
+    sigma_x-eigenstate elements vanish).  Not exported; ``perfbench`` calls it.
     """
-    if pointer.kind == "qubit":
-        # sigma_z rho_b + rho_b sigma_z = sigma_z for equatorial rho_b: <+-|.|+-> = 0
-        return CurrentReport(0.0, math.nan)
-    span = float(np.max(np.abs(pointer.centers) + 10.0 * pointer.sigmas))
-    Q = QuadratureGrid.gauss_legendre(span, 400).points
-    j = (pointer.weights * pointer.boosts) @ _gaussian(Q, pointer.centers[:, None],
-                                                       pointer.sigmas[:, None] ** 2)
-    i = int(np.argmax(np.abs(j)))
-    return CurrentReport(float(abs(j[i])), float(Q[i]))
+    return CurrentReport(0.0)
 
 
 @dataclass(frozen=True)
@@ -235,20 +220,17 @@ def _postselection_matrices(joint: JointState, nodes, weights) -> np.ndarray:
 
 
 def _pair_exponents(pointer: PointerState, shifts: np.ndarray) -> np.ndarray:
-    """x_c[j, l] = -(s_j - s_l)^2/(8 sigma_c^2) - i k_c (s_j - s_l), the log of
-    the overlap of component c translated by s_j with its translate by s_l."""
+    """x_c[j, l] = -(s_j - s_l)^2/(8 sigma_c^2), the log of the overlap of
+    component c translated by s_j with its translate by s_l."""
     gap = shifts[:, None] - shifts[None, :]
-    x = -gap * gap / (8.0 * pointer.sigmas[:, None, None] ** 2)
-    if np.any(pointer.boosts != 0.0):
-        x = x - 1j * pointer.boosts[:, None, None] * gap
-    return x
+    return -gap * gap / (8.0 * pointer.sigmas[:, None, None] ** 2)
 
 
 def _pair_gaussians(joint: JointState, j, l, Q, widening: float = 0.0) -> np.ndarray:
-    """P[p, q] = sum_c w_c A_cj(Q_q) conj(A_cl(Q_q)) for the pairs (j_p, l_p), in
-    closed form: A_cj conj(A_cl) = e^{x_c[j, l]} N(Q; c_c + (s_j + s_l)/2,
+    """P[p, q] = sum_c w_c A_cj(Q_q) A_cl(Q_q) for the pairs (j_p, l_p), in
+    closed form: A_cj A_cl = e^{x_c[j, l]} N(Q; c_c + (s_j + s_l)/2,
     sigma_c^2), a Gaussian that a Gaussian Q kernel of variance ``widening``
-    widens to sigma_c^2 + widening.  Real unless the pointer is boosted."""
+    widens to sigma_c^2 + widening."""
     pointer, s = joint.pointer, joint.shifts
     scale = pointer.weights[:, None] * np.exp(_pair_exponents(pointer, s)[:, j, l])
     mid = 0.5 * (s[j] + s[l])[:, None]
@@ -267,8 +249,7 @@ def _density(joint: JointState, nodes, weights, Q, widening: float = 0.0) -> np.
     coef = np.take(_postselection_matrices(joint, nodes, weights).reshape(-1, dim * dim),
                    j * dim + l, axis=1)
     coef *= np.where(j == l, 1.0, 2.0) * joint.state[j, l]
-    pairs = _pair_gaussians(joint, j, l, Q, widening)
-    return (coef @ pairs).real if np.iscomplexobj(pairs) else coef.real @ pairs
+    return coef.real @ _pair_gaussians(joint, j, l, Q, widening)
 
 
 def position_density(joint: JointState, phi_points, Q_points) -> np.ndarray:
@@ -279,11 +260,10 @@ def position_density(joint: JointState, phi_points, Q_points) -> np.ndarray:
     translated by eps nu_j, the density is a sum over eigenvector pairs j <= l:
 
         sum_{j<=l} (2 - delta_jl) Re[b_j conj(b_l) R_jl P_jl(Q)],
-        P_jl(Q) = sum_c w_c A_cj(Q) conj(A_cl(Q)),
+        P_jl(Q) = sum_c w_c A_cj(Q) A_cl(Q),
 
     P in closed form (``_pair_gaussians``): n_phi dim(dim+1)/2 n_Q real
-    multiply-adds (four times that for a boosted pointer, whose pairs are
-    complex) whatever the rank of rho.
+    multiply-adds whatever the rank of rho.
     """
     phi_points = np.atleast_1d(np.asarray(phi_points, dtype=float))
     Q_points = np.atleast_1d(np.asarray(Q_points, dtype=float))

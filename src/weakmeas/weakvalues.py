@@ -26,10 +26,10 @@ and n (Gaussian conditional moments of the smeared quasi-distribution).
 The closed forms double as oracles for the Fock-space trace formula and
 vice versa; neither path is derived from the other in code.
 
-Negative-readout probabilities are computed two independent ways: via the
-complementary error function where a closed form exists, and always via
-numeric quadrature of the postselection density over the region where the
-real part is negative.
+Negative-readout probabilities are computed two independent ways: from the
+paper's closed erfc expressions where one exists, and always as the mass of
+the Gaussian postselection density over the intervals where the profile's
+real part is negative, bounded by its computed roots.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockspace import DensityOperator, Observable, leggauss
+from .fockspace import DensityOperator, Observable
 from .povm import DetectorKernel, _postselected_forms
 
 __all__ = [
@@ -248,23 +248,19 @@ def _closed_form(profile: WeakValueProfile) -> float | None:
 
 
 def _quadrature(profile: WeakValueProfile, intervals: tuple) -> float:
-    """Integrate the postselection density over the negative region with
-    Gauss-Legendre panels; infinite tails are clipped 12 sigma out, where
-    the remaining mass is below 1e-30."""
+    """Mass of the Gaussian postselection density over the negative region:
+    1/2 [erfc(z_lo) - erfc(z_hi)] per interval, z = (q - mean)/(sd sqrt 2),
+    an interval below the mean mirrored above it, so that no tail is taken
+    as the difference of two erfc values near 2."""
     mean = profile.alpha_r
-    sd = math.sqrt(profile.n_th + 0.5 + profile.sigma_eta ** 2)
-    lo_cut, hi_cut = mean - 12.0 * sd, mean + 12.0 * sd
-    x, w = leggauss(200)
+    scale = math.sqrt(2.0 * (profile.n_th + 0.5 + profile.sigma_eta ** 2))
     total = 0.0
     for lo, hi in intervals:
-        lo, hi = max(lo, lo_cut), min(hi, hi_cut)
-        if hi <= lo:
-            continue
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        q = mid + half * x
-        total += half * np.sum(w * marginal_density(q, profile.alpha_r,
-                                                    profile.n_th, profile.sigma_eta))
-    return float(min(total, 1.0))
+        z_lo, z_hi = (lo - mean) / scale, (hi - mean) / scale
+        if z_hi <= 0.0:
+            z_lo, z_hi = -z_hi, -z_lo
+        total += 0.5 * (math.erfc(z_lo) - math.erfc(z_hi))
+    return min(total, 1.0)
 
 
 def negativity_probability(profile: WeakValueProfile,
@@ -272,9 +268,9 @@ def negativity_probability(profile: WeakValueProfile,
     """Probability of postselecting a position with a negative weak value.
 
     ``closed_form`` uses the erfc expressions and is refused where none is
-    available; ``quadrature`` always works and never touches erfc, so the
-    two are independent checks of each other.  ``auto`` prefers the closed
-    form when it exists.
+    available; ``quadrature`` always works: it takes the Gaussian CDF at the
+    profile's roots, so the roots and the closed forms' algebra check each
+    other.  ``auto`` prefers the closed form when it exists.
     """
     intervals = negative_intervals(profile)
     if method not in ("auto", "closed_form", "quadrature"):

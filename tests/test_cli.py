@@ -650,6 +650,34 @@ def test_benchmark_pointer_round_passes_its_checks():
     assert pointer_sim.ROUND == 16 and failures == [None] * 16
 
 
+def test_benchmark_trace_round_fails_only_its_known_truncation_ops():
+    """One seed-101 round of the benchmark's trace sweep, held to its own check.
+    Exactly these ops fail, each on the dim-40 truncation fault (ROADMAP item
+    1); a change that mends one removes it here."""
+    trace_sweep = _benchmark_workloads().TraceSweep(101)
+    failed = {}
+    for k in range(trace_sweep.ROUND):
+        params = trace_sweep.inputs(k)
+        reason = trace_sweep.check(weakmeas, params, trace_sweep.run(weakmeas, params))
+        if reason is not None:
+            failed[k] = reason.split(":", 1)[0]
+    assert trace_sweep.ROUND == 128
+    assert failed == dict.fromkeys([5, 16, 27, 30, 35, 45, 46, 56, 67, 85, 92, 104, 114,
+                                    118, 125], "trace_vs_closed")
+
+
+def test_benchmark_distribution_round_passes_its_checks():
+    """One seed-101 round of the benchmark's quasi-distribution grids, run in
+    process and held to the benchmark's own check."""
+    distribution_grid = _benchmark_workloads().DistributionGrid(101)
+    failures = []
+    for k in range(distribution_grid.ROUND):
+        params = distribution_grid.inputs(k)
+        failures.append(distribution_grid.check(weakmeas, params,
+                                                distribution_grid.run(weakmeas, params)))
+    assert distribution_grid.ROUND == 8 and failures == [None] * 8
+
+
 def _readme_cli_commands():
     """The ``weakmeas ...`` lines of the README's CLI block, continuations joined."""
     text = (Path(__file__).parents[1] / "README.md").read_text()

@@ -12,7 +12,6 @@ from weakmeas import (
     PointerState,
     UnsupportedPointerError,
     alpha_from_quadratures,
-    check_zero_current,
     coherent_state,
     conditional_pointer_shift,
     custom_kernel,
@@ -37,6 +36,7 @@ from weakmeas import (
 )
 from weakmeas.fockspace import displacement_operator
 from weakmeas.povm import smear_matrix
+from weakmeas.vonneumann import check_zero_current
 from weakmeas.vonneumann import position_density as joint_density
 from weakmeas import QuadratureGrid
 from conftest import trapezoid_grid
@@ -58,16 +58,6 @@ def test_real_gaussian_mixture_carries_no_current():
 
 def test_qubit_equatorial_state_carries_no_current():
     assert check_zero_current(PointerState.qubit(0.6, 0.3)).max_violation < 1e-14
-
-
-def test_boosted_gaussian_current_equals_boost_times_density():
-    k = 0.5
-    pointer = PointerState.gaussian(sigma=1.0, center=0.0, boost=k)
-    report = check_zero_current(pointer)
-    density_at_max = math.exp(-report.location ** 2 / 2.0) / math.sqrt(2.0 * math.pi)
-    assert report.max_violation == pytest.approx(k * density_at_max, rel=1e-12)
-    assert report.max_violation == pytest.approx(k / math.sqrt(2 * math.pi), rel=1e-2)
-    assert abs(report.location) < 0.1
 
 
 def test_qubit_bloch_vector_domain():
@@ -291,13 +281,10 @@ def test_narrow_readout_grid_warns():
 @pytest.mark.parametrize("pointer", [
     PointerState.gaussian(0.8, 0.3),
     PointerState.gaussian_mixture([(0.6, -0.8, 0.7), (0.4, 1.0, 1.3)]),
-    PointerState.gaussian_mixture([(0.6, -0.8, 0.7, 0.5), (0.4, 1.0, 1.3)]),
-], ids=["gaussian", "mixture", "boosted"])
+], ids=["gaussian", "mixture"])
 def test_border_density_is_the_diagonal_of_the_pair_gaussians(pointer, monkeypatch):
     """The border check sums w_c N(Q; c_c + s_j, sigma_c^2) in closed form; it
-    equals the j = l pairs of ``_pair_gaussians`` bit for bit.  A boosted
-    pointer's pairs are complex, and numpy multiplies the strided real view of
-    them in another order, so that product agrees to rounding."""
+    equals the j = l pairs of ``_pair_gaussians`` bit for bit."""
     from weakmeas.vonneumann import _pair_gaussians
 
     dim = 16
@@ -313,7 +300,7 @@ def test_border_density_is_the_diagonal_of_the_pair_gaussians(pointer, monkeypat
         joint = evolve_exact(rho, pointer, make_operator("hamiltonian", dim), eps)
         d = np.arange(dim)
         pairs = _pair_gaussians(joint, d, d, q_grid.points[[0, -1]])
-        expected = joint.state.diagonal().real @ np.ascontiguousarray(pairs.real)
+        expected = joint.state.diagonal().real @ pairs
         reduced.clear()
         monkeypatch.setattr(np, "max", recorded_max)
         with pytest.warns(UserWarning, match="border"):
@@ -321,12 +308,8 @@ def test_border_density_is_the_diagonal_of_the_pair_gaussians(pointer, monkeypat
         monkeypatch.undo()
         assert len(reduced) == 1
         assert reduced[0].tobytes() == expected.tobytes()
-        assert np.iscomplexobj(pairs) == bool(np.any(pointer.boosts))
-        np.testing.assert_allclose(reduced[0], joint.state.diagonal().real @ pairs.real,
-                                   rtol=1e-15, atol=0.0)
 
 
-BOOSTED = PointerState.gaussian_mixture([(0.6, -0.8, 0.7, 0.5), (0.4, 1.0, 1.3)])
 # on the 161-node trapezoid readout grid of the table tests; a test that
 # integrates phi with it moves it onto its phi grid (``_on``)
 SMOOTH_CUSTOM = custom_kernel(gaussian_kernel(0.4).func, 0.4,
@@ -494,8 +477,7 @@ def test_table_values_are_smeared_position_density():
     assert np.array_equal(SMOOTH_CUSTOM.grid.points, q_grid.points)
     rows = phi_grid.points[::8]
     failures = []
-    for pointer, name in ((PointerState.gaussian(0.9), "single"), (MIXTURE, "mixture"),
-                          (BOOSTED, "boosted")):
+    for pointer, name in ((PointerState.gaussian(0.9), "single"), (MIXTURE, "mixture")):
         for n_th in (0.0, 0.8):
             rho = displaced_thermal_state(alpha_from_quadratures(1.0, 0.2), n_th, dim)
             assert _rank(rho) == (1 if n_th == 0.0 else dim)
@@ -523,8 +505,8 @@ def test_table_values_are_smeared_position_density():
     assert not failures, failures
 
 
-@pytest.mark.parametrize("pointer", [PointerState.gaussian(0.9), MIXTURE, BOOSTED],
-                         ids=["single", "mixture", "boosted"])
+@pytest.mark.parametrize("pointer", [PointerState.gaussian(0.9), MIXTURE],
+                         ids=["single", "mixture"])
 @pytest.mark.parametrize("n_th", [0.0, 0.8], ids=["rank1", "full_rank"])
 @pytest.mark.parametrize("kernel_phi", [
     None, gaussian_kernel(0.4), gaussian_kernel(sigma_from_efficiency(0.99)), SMOOTH_CUSTOM,
@@ -554,8 +536,8 @@ def test_exact_readout_matches_fine_table_route(pointer, n_th, kernel_phi):
         assert abs(conditional_pointer_shift(exact[0], phi, exact[1]) - want) <= 1e-12
 
 
-@pytest.mark.parametrize("pointer", [PointerState.gaussian(0.9), MIXTURE, BOOSTED],
-                         ids=["single", "mixture", "boosted"])
+@pytest.mark.parametrize("pointer", [PointerState.gaussian(0.9), MIXTURE],
+                         ids=["single", "mixture"])
 @pytest.mark.parametrize("n_th", [0.0, 0.8], ids=["rank1", "full_rank"])
 @pytest.mark.parametrize("kernel_phi", [None, gaussian_kernel(0.4), SMOOTH_CUSTOM],
                          ids=["phi_projective", "phi_gaussian", "phi_custom"])
@@ -647,7 +629,7 @@ def test_exact_readout_never_evaluates_pointer_on_q_grid(kernel_phi, kernel_q, m
     phi_grid = default_grid(dim=24, points=100).with_points([0.5])
     q_grid = QuadratureGrid.gauss_legendre(21.0, 200)
     baseline, evolved = (
-        joint_distribution(evolve_exact(rho, BOOSTED, make_operator("hamiltonian", 24), e),
+        joint_distribution(evolve_exact(rho, MIXTURE, make_operator("hamiltonian", 24), e),
                            kernel_phi, kernel_q, phi_grid, q_grid) for e in (0.0, 0.1))
 
     def refuse(joint, j, l, Q, widening=0.0):
@@ -786,17 +768,17 @@ def test_qubit_rejects_wrong_pointer_kind():
 def test_position_density_matches_dense_operator_oracle():
     """Independent oracle for the pair contraction: for each pointer position
     Q and component c the Kraus operator
-    K_c(Q) = N_c exp(-(Q - c_c - eps nu)^2 / (4 s_c^2)) exp(i k_c (Q - eps nu))
+    K_c(Q) = N_c exp(-(Q - c_c - eps nu)^2 / (4 s_c^2))
     acts on the full state, density = sum_c w_c psi(phi)^T K_c rho K_c^dag psi(phi),
-    with no eigendecomposition of rho.  Full rank, boosted mixture, strong
-    coupling; a dropped off-diagonal pair factor or boost term fails it.
+    with no eigendecomposition of rho.  Full rank, two-component mixture,
+    strong coupling; a dropped off-diagonal pair factor fails it.
     Gaussian phi and Q kernels smear the oracle on fine trapezoid grids (8
     and 3 nodes per kernel width) against the table's ``values``."""
     from scipy.linalg import expm
 
     dim, eps = 24, 0.3
     rho = displaced_thermal_state(alpha_from_quadratures(0.8, -0.5), 0.8, dim)
-    pointer = PointerState.gaussian_mixture([(0.6, -0.5, 0.8, 0.7), (0.4, 0.9, 1.2)])
+    pointer = MIXTURE
     phis = np.linspace(-2.5, 2.5, 5)
     Qs = np.linspace(-2.0, 8.0, 7)
     phi_fine, q_fine = trapezoid_grid(6.0, 241), trapezoid_grid(11.0, 221)
@@ -812,11 +794,9 @@ def test_position_density_matches_dense_operator_oracle():
         Q_all = np.concatenate([Qs, q_fine.points])
         reference = np.zeros((psi.shape[1], Q_all.size))
         for i, Q in enumerate(Q_all):
-            for w, c, s, k in zip(pointer.weights, pointer.centers, pointer.sigmas,
-                                  pointer.boosts):
+            for w, c, s in zip(pointer.weights, pointer.centers, pointer.sigmas):
                 x = (Q - c) * np.eye(dim) - eps * nu.matrix
-                kraus = ((2.0 * np.pi * s * s) ** -0.25 * expm(-x @ x / (4.0 * s * s))
-                         @ expm(1j * k * (Q * np.eye(dim) - eps * nu.matrix)))
+                kraus = (2.0 * np.pi * s * s) ** -0.25 * expm(-x @ x / (4.0 * s * s))
                 sandwich = kraus @ rho.matrix @ kraus.conj().T
                 reference[:, i] += w * np.einsum("np,nm,mp->p", psi, sandwich, psi).real
         got = joint_density(joint, phis, Qs)
@@ -850,16 +830,22 @@ def test_position_density_matches_dense_operator_oracle():
     (lambda: PointerState.qubit(0.0, math.inf), "Bloch"),
     (lambda: PointerState.gaussian(sigma=math.nan), "sigmas"),
     (lambda: PointerState.gaussian(center=math.inf), "centers"),
-    (lambda: PointerState.gaussian(boost=math.nan), "boosts"),
     (lambda: PointerState.gaussian_mixture([(math.nan, 0.0, 1.0), (0.5, 1.0, 1.0)]),
      "weights"),
 ], ids=["coherent_nan", "coherent_inf", "thermal_alpha", "displacement_nan",
         "displacement_inf", "thermal_n_th_nan",
         "thermal_n_th_inf", "qubit_s_x", "qubit_s_y", "gaussian_sigma", "gaussian_center",
-        "gaussian_boost", "mixture_weight"])
+        "mixture_weight"])
 def test_non_finite_state_and_pointer_refused(call, name):
     with pytest.raises(ValueError, match=f"{name}.*finite"):
         call()
+
+
+@pytest.mark.parametrize("component", [(1.0, 0.0), (1.0, 0.0, 1.0, 0.5),
+                                       (1.0, 0.0, 1.0, 0.5, 2.0)], ids=["pair", "four", "five"])
+def test_mixture_component_must_be_a_triple(component):
+    with pytest.raises(ValueError, match=r"\(weight, center, sigma\) triple"):
+        PointerState.gaussian_mixture([component])
 
 
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])

@@ -242,7 +242,7 @@ def test_quadrature_agrees_with_closed_form():
     for profile in cases:
         closed = negativity_probability(profile, "closed_form").probability
         quad = negativity_probability(profile, "quadrature").probability
-        assert abs(closed - quad) < 1e-6
+        assert abs(closed - quad) < 1e-15
 
 
 def test_closed_form_unavailable_for_noisy_energy():
