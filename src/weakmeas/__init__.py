@@ -25,7 +25,6 @@ from .fockspace import (
 from .povm import (
     DetectorKernel,
     ValidationReport,
-    custom_kernel,
     delta_kernel,
     effective_marginal,
     gaussian_kernel,

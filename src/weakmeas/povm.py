@@ -7,23 +7,22 @@ the true value is phi'.  A physically admissible kernel is
 * normalized over outcomes:  integral dphi Pi(phi, phi') = 1, and
 * unbiased:                  integral dphi phi Pi(phi, phi') = phi',
 
-so that an imperfect detector reproduces the mean of a perfect one.  Perfect
-(projective) detection is a distinct ``delta`` kind rather than a zero-width
-Gaussian, which keeps every code path free of numerical singularities.
+so that an imperfect detector reproduces the mean of a perfect one.  The
+detector is a homodyne one: a Gaussian kernel whose width is set by the
+efficiency, or, at width 0, perfect (projective) detection, a distinct
+``delta`` kind that is never evaluated pointwise, which keeps every code
+path free of numerical singularities.
 
 With a Gaussian kernel, ``postselection_rule`` integrates
 psi_m psi_n Pi(phi, .), a polynomial of degree <= 2 dim - 2 times a Gaussian,
 by the Gauss-Hermite rule of dim nodes centred on that Gaussian, which is
-exact (Golub & Welsch, Math. Comp. 23, 221 (1969)) at every efficiency.  A
-custom kernel carries the grid that integrates it, so the kernel alone fixes
-the postselection integral on every route.
+exact (Golub & Welsch, Math. Comp. 23, 221 (1969)) at every efficiency.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "ValidationReport",
     "gaussian_kernel",
     "delta_kernel",
-    "custom_kernel",
     "sigma_from_efficiency",
     "validate",
     "postselection_rule",
@@ -45,60 +43,45 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DetectorKernel:
-    """Detector smearing kernel.
+    """Detector smearing kernel: the Gaussian of r.m.s. width
+    ``width_sigma_eta``, or the projective (delta) kind at width 0, whose
+    smearing is the identity by definition.  Calling it evaluates the
+    outcome density Pi(phi, phi_prime); it broadcasts over numpy arrays."""
 
-    ``func(phi, phi_prime)`` evaluates the outcome density; it broadcasts
-    over numpy arrays.  ``func`` is None for the projective kind, whose
-    smearing is the identity by definition.  ``grid`` integrates a custom
-    kernel over the true value; the other kinds need none.
-    """
-
-    kind: str  # gaussian | delta | custom
     width_sigma_eta: float
-    func: Callable | None
-    grid: QuadratureGrid | None = None
 
-    def __post_init__(self):
-        if self.kind == "custom" and not isinstance(self.grid, QuadratureGrid):
-            raise TypeError("a custom kernel needs the QuadratureGrid that integrates it")
+    @property
+    def kind(self) -> str:  # gaussian | delta
+        return "delta" if self.is_projective else "gaussian"
 
     @property
     def is_projective(self) -> bool:
-        return self.kind == "delta"
+        return self.width_sigma_eta == 0
 
     def __call__(self, phi, phi_prime):
-        if self.func is None:
+        if self.is_projective:
             raise ValueError("projective (delta) kernels cannot be evaluated pointwise")
-        return self.func(phi, phi_prime)
+        sigma = self.width_sigma_eta
+        norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
+        two_var = 2.0 * sigma * sigma
+        phi = np.asarray(phi, dtype=float)
+        phi_prime = np.asarray(phi_prime, dtype=float)
+        return norm * np.exp(-((phi - phi_prime) ** 2) / two_var)
 
 
 def gaussian_kernel(sigma_eta: float) -> DetectorKernel:
     """Gaussian kernel of r.m.s. width sigma_eta; sigma_eta = 0 is projective."""
     if not (math.isfinite(sigma_eta) and sigma_eta >= 0):
         raise ValueError(f"sigma_eta must be finite and >= 0, got {sigma_eta}")
-    if sigma_eta == 0:
-        return delta_kernel()
-    norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma_eta)
-    two_var = 2.0 * sigma_eta * sigma_eta
-
-    def func(phi, phi_prime):
-        phi = np.asarray(phi, dtype=float)
-        phi_prime = np.asarray(phi_prime, dtype=float)
-        return norm * np.exp(-((phi - phi_prime) ** 2) / two_var)
-
-    return DetectorKernel("gaussian", sigma_eta, func)
+    if sigma_eta > 0 and sigma_eta * sigma_eta < np.finfo(float).tiny:
+        raise ValueError(f"sigma_eta = {sigma_eta} has a square below the smallest normal "
+                         f"float; pass 0 for a projective detector")
+    return DetectorKernel(sigma_eta)
 
 
 def delta_kernel() -> DetectorKernel:
     """Projective detection; consumers treat its smearing as the identity."""
-    return DetectorKernel("delta", 0.0, None)
-
-
-def custom_kernel(func: Callable, width_sigma_eta: float = math.nan, *,
-                  grid: QuadratureGrid) -> DetectorKernel:
-    """Wrap a user kernel func(phi, phi_prime) with the grid that integrates it
-    over phi_prime on every route; validity is checked, not assumed."""
-    return DetectorKernel("custom", width_sigma_eta, func, grid)
+    return DetectorKernel(0.0)
 
 
 def sigma_from_efficiency(eta: float) -> float:
@@ -124,17 +107,13 @@ class ValidationReport:
 def validate(kernel: DetectorKernel, grid: QuadratureGrid) -> ValidationReport:
     """Measure normalization and bias defects of a kernel on a grid.
 
-    Probes phi' values kept a margin away from the grid edge (8 kernel
-    widths, or a quarter span for custom kernels of unknown width) so that
+    Probes phi' values kept 8 kernel widths away from the grid edge so that
     the reported defects reflect the kernel, not missing support.  Defects
     are reported, never raised; a grid too narrow to probe is refused.
     """
     if kernel.is_projective:
         return ValidationReport(0.0, 0.0)
-    if math.isfinite(kernel.width_sigma_eta) and kernel.width_sigma_eta > 0:
-        margin = 8.0 * kernel.width_sigma_eta
-    else:
-        margin = 0.25 * grid.half_width
+    margin = 8.0 * kernel.width_sigma_eta
     lo, hi = grid.points[0] + margin, grid.points[-1] - margin
     probes = grid.points[(grid.points >= lo) & (grid.points <= hi)]
     if probes.size == 0:
@@ -154,24 +133,24 @@ def postselection_rule(kernel: DetectorKernel, phi, dim: int) -> tuple[np.ndarra
 
     Projective: the node phi_i with weight 1.  Gaussian: the dim-node
     Gauss-Hermite rule mapped onto the Gaussian of psi_m psi_n Pi(phi_i, .),
-    exact.  Custom: the kernel's own grid, whose nodes come back as one row
-    shared by every phi.
+    exact.
     """
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     if not np.all(np.isfinite(phi)):
         raise ValueError(f"phi must be finite, got {phi[~np.isfinite(phi)].tolist()}")
     if kernel.is_projective:
         return phi[:, None], np.ones((phi.size, 1))
-    if kernel.kind == "gaussian":
-        # psi_m psi_n times the kernel is a polynomial times
-        # exp(-a (x - m)^2), a = 1 + 1/(2 s^2), m = phi/(1 + 2 s^2)
-        x, w = hermite_rule(dim)
-        s2 = kernel.width_sigma_eta ** 2
-        root_a = math.sqrt(1.0 + 0.5 / s2)
-        nodes, weights = (phi / (1.0 + 2.0 * s2))[:, None] + x / root_a, w / root_a
-    else:
-        nodes, weights = kernel.grid.points[None, :], kernel.grid.weights
-    return nodes, kernel(phi[:, None], nodes) * weights
+    # psi_m psi_n times the kernel is a polynomial times
+    # exp(-a (x - m)^2), a = 1 + 1/(2 s^2), m = phi/(1 + 2 s^2)
+    x, w = hermite_rule(dim)
+    s2 = kernel.width_sigma_eta ** 2
+    root_a = math.sqrt(1.0 + 0.5 / s2)
+    step = x / root_a
+    nodes = (phi / (1.0 + 2.0 * s2))[:, None] + step
+    # phi - nodes from its parts: the difference of the nearly equal phi and
+    # nodes loses the offset, of order s, when s is small
+    offsets = (phi * (2.0 * s2 / (1.0 + 2.0 * s2)))[:, None] - step
+    return nodes, kernel(offsets, 0.0) * (w / root_a)
 
 
 def _postselected_forms(kernel: DetectorKernel, phi, dim: int, matrices) -> np.ndarray:
@@ -187,8 +166,7 @@ def effective_marginal(rho: DensityOperator, kernel: DetectorKernel):
     """Outcome density of an imperfect position measurement.
 
     Returns q -> integral dq' Pi(q, q') <q'|rho|q'>, evaluable anywhere, by
-    ``postselection_rule``: exact for a projective or Gaussian kernel, on
-    its own grid for a custom one.
+    ``postselection_rule``, exact.
     """
     def density(q):
         (out,) = _postselected_forms(kernel, q, rho.dim, [rho.matrix.real])
@@ -205,7 +183,6 @@ def smear_matrix(kernel: DetectorKernel, outcomes: np.ndarray,
     where smearing is the identity.  A Gaussian row is evaluated only within
     r = sigma_eta sqrt(106 ln 2) of its outcome, beyond which Pi(phi, x) <
     2^-53 Pi(phi, phi), and is exactly 0 elsewhere, so no exp underflows.
-    A custom kernel is evaluated at every node.
     """
     outcomes = np.asarray(outcomes, dtype=float)
     if not np.all(np.isfinite(outcomes)):
@@ -216,8 +193,6 @@ def smear_matrix(kernel: DetectorKernel, outcomes: np.ndarray,
         if outcomes.shape != x.shape or not np.allclose(outcomes, x, rtol=0.0, atol=1e-12):
             raise ValueError("projective smearing requires outcomes identical to grid nodes")
         return np.eye(n)
-    if kernel.kind != "gaussian":
-        return kernel(outcomes[:, None], x[None, :]) * w
     out = np.zeros((n, x.size))  # before the band's temporaries, whose heap is then reused
     reach = math.sqrt(106.0 * math.log(2.0)) * kernel.width_sigma_eta
     lo = np.searchsorted(x, outcomes - reach)

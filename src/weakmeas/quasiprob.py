@@ -230,18 +230,12 @@ def effective_distribution(dist: QuasiDistribution, kernel: DetectorKernel) -> Q
     max_i K[k, i] max|V|; each block of rows of K then multiplies the
     interleaved real view V of the values (n_phi, 2 n_xi for S kinds) over the
     columns the block keeps, so no sub-tiny weight reaches BLAS.
-    The smear integrates on the distribution's phi grid, so a custom kernel
-    whose own grid has other nodes or weights is refused.
     """
     if dist.kind not in ("S", "T"):
         raise ValueError(f"distribution of kind {dist.kind!r} is already smeared")
     if kernel.is_projective:
         return QuasiDistribution(dist.values, dist.basis, dist.kind + "_eta")
     grid = dist.basis.phi_grid
-    if kernel.kind == "custom" and not (np.array_equal(kernel.grid.points, grid.points)
-                                        and np.array_equal(kernel.grid.weights, grid.weights)):
-        raise ValueError("a custom kernel smears a distribution only on its own grid, "
-                         "which must hold the distribution's phi nodes and weights")
     values = np.ascontiguousarray(dist.values)
     real = values.view(float)
     smear = smear_matrix(kernel, grid.points, grid)
@@ -304,8 +298,8 @@ def weak_value_from_distribution(rho: DensityOperator, nu: Observable,
     <phi|nu|xi><xi|rho|phi> with no overlap division, so points where the
     representation alone would be undefined contribute their finite limit.
     The phi integral takes the nodes and weights of ``postselection_rule``:
-    the single row at phi when projective, the exact Gauss-Hermite rows for a
-    Gaussian kernel, and for a custom kernel the row of its own grid.
+    the single row at phi when projective, the exact Gauss-Hermite row for a
+    Gaussian kernel.
     """
     (rows,), (row_weights,) = postselection_rule(kernel, phi, basis.dim)
     psi = wavefunction_table(basis.dim, rows)

@@ -240,10 +240,7 @@ def _pair_gaussians(joint: JointState, j, l, Q, widening: float = 0.0) -> np.nda
 
 def _density(joint: JointState, nodes, weights, Q, widening: float = 0.0) -> np.ndarray:
     """The density of ``position_density`` integrated over each row of a
-    postselection rule; one row of nodes shared by every row of weights is
-    evaluated node by node, then weighted."""
-    if nodes.shape[0] < weights.shape[0]:
-        return weights @ _density(joint, nodes.T, np.ones(nodes.T.shape), Q, widening)
+    postselection rule."""
     dim = joint.nu_eigvals.size
     j, l = np.triu_indices(dim)
     coef = np.take(_postselection_matrices(joint, nodes, weights).reshape(-1, dim * dim),
@@ -276,10 +273,9 @@ class JointOutcomeTable:
 
     Holds the evolved state, both detector kernels and both grids.  The
     (n_phi, n_Q) ``values`` are built on first access and kept: the phi axis
-    by ``postselection_rule``, exact for a projective or Gaussian kernel, the
-    Q axis by the pair Gaussians, widened by a Gaussian Q kernel.  A custom
-    kernel of either axis integrates on its own grid; the table's grids are
-    the output points only.
+    by ``postselection_rule``, exact, the Q axis by the pair Gaussians,
+    widened by a Gaussian Q kernel.  The table's grids are the output points
+    only.
     """
 
     joint: JointState
@@ -294,12 +290,10 @@ class JointOutcomeTable:
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        dim, kernel_Q = self.joint.nu_eigvals.size, self.kernel_Q
-        rule = postselection_rule(self.kernel_phi, self.phi_grid.points, dim)
-        if kernel_Q.kind != "custom":  # a projective kernel has width 0
-            return _density(self.joint, *rule, self.Q_grid.points, kernel_Q.width_sigma_eta ** 2)
-        (nodes,), weights = postselection_rule(kernel_Q, self.Q_grid.points, dim)
-        return _density(self.joint, *rule, nodes) @ weights.T
+        rule = postselection_rule(self.kernel_phi, self.phi_grid.points,
+                                  self.joint.nu_eigvals.size)
+        return _density(self.joint, *rule, self.Q_grid.points,
+                        self.kernel_Q.width_sigma_eta ** 2)
 
     def total_mass(self) -> float:
         return float(self.phi_grid.weights @ self.values @ self.Q_grid.weights)
@@ -391,14 +385,10 @@ def conditional_pointer_shift(table: JointOutcomeTable, phi: float,
     phi axis.
 
     ``baseline`` is the eps = 0 table and enters no number; one at another
-    eps is refused.  So is a custom Q kernel: it may be biased, so the
-    pointer shift need not be its readout shift.
+    eps is refused.
     """
     if baseline.epsilon != 0.0:
         raise ValueError("baseline table must be computed at eps = 0")
-    if table.kernel_Q.kind == "custom":
-        raise ValueError("a custom Q kernel may be biased, so its readout shift is not "
-                         "the pointer shift; read it from table.values")
     return pointer_shift(table.joint, table.kernel_phi, table.phi_grid.points[_node(table, phi)])
 
 

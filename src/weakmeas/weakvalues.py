@@ -77,8 +77,7 @@ def weak_value(nu: Observable, rho: DensityOperator, kernel: DetectorKernel, phi
     """Weak value by the trace formula, for any state and Hermitian observable.
 
     With a projective kernel this reduces to <phi|nu rho|phi>/<phi|rho|phi>.
-    The postselection integral is ``postselection_rule``'s: exact for a
-    projective or Gaussian kernel, on its own grid for a custom one.
+    The postselection integral is ``postselection_rule``'s, exact.
     ``phi`` may be an array, in which case an array of weak values is returned.
     """
     if nu.dim != rho.dim:

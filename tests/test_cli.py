@@ -11,7 +11,7 @@ from scipy.special import erfc
 
 import weakmeas
 from weakmeas import displaced_thermal_state, position_density
-from weakmeas.cli import _write_csv, main
+from weakmeas.cli import ROUTE_TOL, _write_csv, main
 
 
 def run_cli(capsys, *argv):
@@ -557,6 +557,36 @@ def test_weak_value_agreeing_routes_exit_zero(capsys):
     assert code == 0
     res = last_json(out)["results"]
     assert abs(res["re"] - res["re_trace_formula"]) <= 1e-6
+
+
+def test_weak_value_refuses_a_route_gap_between_one_and_ten_route_tols(capsys):
+    """At dim 40 the closed form (2.2915816326530614) and the trace formula
+    (2.2915854968100891) differ by 3.86e-6, above ROUTE_TOL and below ten of
+    it: refused.  At dim 60 the truncation no longer shows, and it passes."""
+    argv = ["weak-value", "--observable", "p2", "--alpha-r", "3", "--alpha-i", "1",
+            "--nth", "0.9", "--q", "1.5"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "2.2915816326530614" in err and "2.2915854968100891" in err
+    code, out, _ = run_cli(capsys, *argv, "--dim", "60")
+    assert code == 0
+    res = last_json(out)["results"]
+    assert abs(res["re"] - res["re_trace_formula"]) <= ROUTE_TOL
+
+
+def test_weak_value_imaginary_part_matches_the_trace_formula(capsys):
+    """Im H_w = alpha_i (q - alpha_r)/(2V), V = n_th + 1/2 + sigma_eta^2: the
+    record's ``im`` has the sign of alpha_i (q - alpha_r) and meets the trace
+    formula's within ROUTE_TOL."""
+    alpha_r, alpha_i, q = 1.0, 0.7, 0.3
+    code, out, _ = run_cli(capsys, "weak-value", "--observable", "H", "--alpha-r",
+                           str(alpha_r), "--alpha-i", str(alpha_i), "--nth", "0.2",
+                           "--eta", "0.8", "--q", str(q))
+    assert code == 0
+    res = last_json(out)["results"]
+    assert res["im"] == pytest.approx(-0.29696969696969694, abs=1e-15)
+    assert abs(res["im"] - res["im_trace_formula"]) <= ROUTE_TOL
+    assert math.copysign(1.0, res["im"]) == math.copysign(1.0, alpha_i * (q - alpha_r))
 
 
 def test_csv_rows_match_csv_writer_bytes(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from weakmeas import (
     BasisPair,
     alpha_from_quadratures,
     coherent_state,
-    custom_kernel,
     default_grid,
     delta_kernel,
     displaced_thermal_state,
@@ -71,50 +71,6 @@ def test_sigma_from_efficiency_domain_and_monotonicity():
     assert sigmas[-1] == 0.0
 
 
-def _triangle(offset):
-    # unit-area triangle of half-width 1 centered at phi' + offset
-    def func(phi, phi_prime):
-        x = np.abs(np.asarray(phi) - np.asarray(phi_prime) - offset)
-        return np.maximum(1.0 - x, 0.0)
-
-    return func
-
-
-def _kink_aligned_grid():
-    # trapezoid nodes every 0.05 so the triangle kinks land on nodes exactly
-    from conftest import trapezoid_grid
-
-    return trapezoid_grid(8.0, 321)
-
-
-def test_symmetric_triangle_kernel_passes():
-    grid = _kink_aligned_grid()
-    report = validate(custom_kernel(_triangle(0.0), 0.5, grid=grid), grid)
-    assert report.max_normalization_defect < 1e-10
-    assert report.max_bias_defect < 1e-10
-
-
-def test_shifted_triangle_kernel_flags_bias():
-    grid = _kink_aligned_grid()
-    report = validate(custom_kernel(_triangle(0.2), 0.5, grid=grid), grid)
-    assert report.max_normalization_defect < 1e-10
-    assert report.max_bias_defect == pytest.approx(0.2, abs=1e-10)
-
-
-def test_variable_width_gaussian_family_is_admissible():
-    # width may depend on the true value; normalization and unbiasedness
-    # survive because each column stays a centered Gaussian
-    def func(phi, phi_prime):
-        sigma = 0.3 + 0.05 * np.tanh(np.asarray(phi_prime))
-        return np.exp(-((np.asarray(phi) - phi_prime) ** 2) / (2 * sigma**2)) \
-            / (np.sqrt(2 * np.pi) * sigma)
-
-    grid = default_grid(dim=2, points=900)
-    report = validate(custom_kernel(func, 0.35, grid=grid), grid)
-    assert report.max_normalization_defect < 1e-10
-    assert report.max_bias_defect < 1e-10
-
-
 def test_effective_marginal_ideal_detector_gaussian():
     rho = displaced_thermal_state(alpha_from_quadratures(1.0, 0.0), 0.0, 40)
     density = effective_marginal(rho, gaussian_kernel(0.0))
@@ -135,44 +91,54 @@ def test_effective_marginal_adds_detector_variance():
 
 
 def test_gaussian_kernel_takes_the_exact_rule_with_or_without_grid():
-    """A grid belongs to a custom kernel only, which integrates on it; a
-    Gaussian kernel's rule is the dim-node Hermite rule, and
-    ``effective_marginal`` meets the closed-form marginal with it.  A custom
-    kernel without a grid is refused."""
+    """A kernel is its width alone and carries no grid: a Gaussian kernel's
+    rule is the dim-node Hermite rule, and ``effective_marginal`` meets the
+    closed-form marginal with it."""
     dim, phi = 40, np.array([-1.0, 0.5, 2.0])
-    fine = default_grid(dim=dim, points=900)
     kernel = gaussian_kernel(0.3)
-    assert kernel.grid is None
+    assert [f.name for f in dataclasses.fields(kernel)] == ["width_sigma_eta"]
+    assert (kernel.kind, delta_kernel().kind) == ("gaussian", "delta")
     assert postselection_rule(kernel, phi, dim)[0].shape == (phi.size, dim)
-    nodes, weights = postselection_rule(custom_kernel(kernel.func, 0.3, grid=fine), phi, dim)
-    assert np.array_equal(nodes, fine.points[None, :])
-    assert np.array_equal(weights, kernel(phi[:, None], nodes) * fine.weights)
-    with pytest.raises(TypeError, match="grid"):
-        custom_kernel(kernel.func, 0.3)
-    with pytest.raises(TypeError, match="QuadratureGrid"):
-        custom_kernel(kernel.func, 0.3, grid=None)
     rho = displaced_thermal_state(alpha_from_quadratures(1.0, 0.0), 0.4, dim)
     density = effective_marginal(rho, kernel)
     exact = marginal_density(phi, 1.0, 0.4, 0.3)
     assert np.max(np.abs(density(phi) - exact)) < 1e-12
 
 
-def test_smear_matrix_evaluates_a_gaussian_only_within_reach():
+def test_near_projective_gaussian_meets_the_projective_rule():
+    """The rule takes the kernel's offset phi - x from its parts, not as the
+    difference of phi and a node within about sigma_eta of it, which cancels
+    the offset's leading digits, so the marginal and the weak value meet the
+    projective ones from sigma_eta = 1e-8 down to 1.5e-154, the least width
+    whose square is a normal float (the difference was 6.6 times off at
+    1e-20).  A narrower width is refused with the advice to pass 0."""
+    dim, phi = 20, 0.4
+    rho = displaced_thermal_state(alpha_from_quadratures(1.0, 0.3), 0.2, dim)
+    nu = make_operator("hamiltonian", dim)
+    marginal = effective_marginal(rho, delta_kernel())(phi)
+    value = weak_value(nu, rho, delta_kernel(), phi)
+    for sigma in (1e-8, 1e-12, 1e-20, 1e-100, 1.5e-154):
+        kernel = gaussian_kernel(sigma)
+        assert abs(effective_marginal(rho, kernel)(phi) - marginal) <= 1e-15, sigma
+        assert abs(weak_value(nu, rho, kernel, phi) - value) <= 1e-14, sigma
+    for sigma in (1e-155, 1e-160, 1e-200, 5e-324):
+        with pytest.raises(ValueError, match="pass 0 for a projective detector"):
+            gaussian_kernel(sigma)
+
+
+def test_smear_matrix_evaluates_a_gaussian_only_within_reach(monkeypatch):
     """A Gaussian row is evaluated only at the nodes within sigma_eta
     sqrt(106 ln 2) of its outcome, where the table equals kernel x weight bit
     for bit, and is exactly 0 beyond, where the kernel is below 2^-53 of its
-    peak; on symmetric and asymmetric grids and at outcomes off the grid.  A
-    custom kernel is evaluated at every node."""
-    from dataclasses import replace
-    from weakmeas import QuadratureGrid
+    peak; on symmetric and asymmetric grids and at outcomes off the grid."""
+    from weakmeas import DetectorKernel, QuadratureGrid
 
     seen = []
+    evaluate = DetectorKernel.__call__
 
-    def recording(func):
-        def recorded(a, b):
-            seen.append(np.abs(np.asarray(a) - np.asarray(b)))
-            return func(a, b)
-        return recorded
+    def recorded(self, a, b):
+        seen.append(np.abs(np.asarray(a) - np.asarray(b)))
+        return evaluate(self, a, b)
 
     sym = [QuadratureGrid.gauss_legendre(9.0, n) for n in (200, 201)]
     grids = sym + [sym[0].with_points([0.3, 1.7]), QuadratureGrid.gauss_legendre(7.0, 150)]
@@ -180,12 +146,13 @@ def test_smear_matrix_evaluates_a_gaussian_only_within_reach():
         gauss = gaussian_kernel(sigma_from_efficiency(eta))
         reach = gauss.width_sigma_eta * math.sqrt(106.0 * math.log(2.0))
         assert gauss(0.0, reach) / gauss(0.0, 0.0) == pytest.approx(2.0 ** -53)
-        kernel = replace(gauss, func=recording(gauss.func))
         for grid in grids:
             x = grid.points
             for outcomes in (x, np.linspace(-9.5, 9.5, 37)):
                 seen.clear()
-                got = smear_matrix(kernel, outcomes, grid)
+                with monkeypatch.context() as patch:
+                    patch.setattr(DetectorKernel, "__call__", recorded)
+                    got = smear_matrix(gauss, outcomes, grid)
                 full = gauss(outcomes[:, None], x[None, :]) * grid.weights[None, :]
                 dist = np.abs(outcomes[:, None] - x[None, :])
                 inside, outside = dist <= reach * (1 - 1e-12), dist > reach * (1 + 1e-12)
@@ -196,19 +163,13 @@ def test_smear_matrix_evaluates_a_gaussian_only_within_reach():
                 (evaluated,) = seen
                 assert np.count_nonzero(inside) <= evaluated.size <= np.count_nonzero(~outside)
                 assert np.all(evaluated <= reach * (1 + 1e-12))
-    grid = sym[1]
-    seen.clear()
-    got = smear_matrix(custom_kernel(recording(gauss.func), grid=grid), grid.points, grid)
-    assert [e.shape for e in seen] == [(201, 201)]
-    assert np.array_equal(got, gauss(grid.points[:, None], grid.points[None, :]) * grid.weights)
 
 
 def test_smear_matrix_refuses_non_finite_outcomes():
     grid = default_grid(dim=20, points=60)
-    for kernel in (gaussian_kernel(0.3), custom_kernel(gaussian_kernel(0.3).func, grid=grid)):
-        for bad in ([math.nan, 0.0], [0.0, math.inf], [-math.inf]):
-            with pytest.raises(ValueError, match=r"finite.*(nan|inf)"):
-                smear_matrix(kernel, bad, grid)
+    for bad in ([math.nan, 0.0], [0.0, math.inf], [-math.inf]):
+        with pytest.raises(ValueError, match=r"finite.*(nan|inf)"):
+            smear_matrix(gaussian_kernel(0.3), bad, grid)
 
 
 def test_effective_marginal_vacuum_peak():
@@ -284,8 +245,6 @@ _N = make_operator("number", 8)
 @pytest.mark.parametrize("call", [
     lambda: weak_value(_N, _RHO, delta_kernel(), math.nan),
     lambda: weak_value(_N, _RHO, gaussian_kernel(0.3), [0.0, math.inf]),
-    lambda: weak_value(_N, _RHO, custom_kernel(gaussian_kernel(0.3).func, 0.3,
-                                               grid=default_grid(dim=8)), math.nan),
     lambda: weak_value_from_distribution(_RHO, _N, BasisPair.position_fock(8),
                                          delta_kernel(), math.nan),
     lambda: effective_marginal(_RHO, gaussian_kernel(0.3))(math.nan),
@@ -295,7 +254,7 @@ _N = make_operator("number", 8)
     lambda: p2_closed_profile(math.inf),
     lambda: n_closed_profile(1.0, math.nan),
     lambda: h_closed_profile(1.0, 0.0, 0.2, math.inf),
-], ids=["weak_value_delta", "weak_value_hermite", "weak_value_grid", "distribution_route",
+], ids=["weak_value_delta", "weak_value_hermite", "distribution_route",
         "effective_marginal", "kernel_nan", "kernel_inf", "profile_n_th", "profile_alpha_r",
         "profile_alpha_i", "profile_sigma_eta"])
 def test_non_finite_input_refused(call):

@@ -9,7 +9,6 @@ from weakmeas import (
     Observable,
     alpha_from_quadratures,
     coherent_state,
-    custom_kernel,
     default_grid,
     delta_kernel,
     displaced_thermal_s,
@@ -26,7 +25,6 @@ from weakmeas import (
     negativity_scan,
     p2_closed_profile,
     position_density,
-    QuadratureGrid,
     QuasiDistribution,
     s_distribution,
     sigma_from_efficiency,
@@ -38,7 +36,7 @@ from weakmeas import (
 )
 from weakmeas.povm import smear_matrix
 from weakmeas.quasiprob import _cross_kernel, _fourier_overlap
-from conftest import random_density, random_hermitian, trapezoid_grid
+from conftest import random_density, random_hermitian
 
 
 def _fock_projector(level: int, dim: int) -> DensityOperator:
@@ -289,42 +287,6 @@ def test_distribution_route_matches_closed_profiles(eta, kind):
             assert abs(lhs - profile.value(phi)) < 1e-10
 
 
-def test_custom_kernel_distribution_route_matches_grid_trace_formula(rng):
-    dim = 16
-    triangle = custom_kernel(lambda a, b: np.maximum(0.0, 1.0 - np.abs(a - b) / 0.5) / 0.5,
-                             grid=default_grid(dim=dim))
-    basis = BasisPair.position_fock(dim)
-    for _ in range(4):
-        rho = random_density(dim, rng)
-        nu = Observable(random_hermitian(dim, rng))
-        phi = float(rng.uniform(-1.5, 1.5))
-        lhs = weak_value_from_distribution(rho, nu, basis, triangle, phi)
-        rhs = weak_value(nu, rho, triangle, phi)
-        assert abs(lhs - rhs) < 1e-10
-
-
-def test_custom_kernel_smears_only_on_its_own_grid():
-    # the smear integrates on the distribution's phi grid, so a kernel that
-    # carries another grid would not give effective_marginal's xi-marginal
-    dim = 16
-    rho = displaced_thermal_state(alpha_from_quadratures(0.7, 0.3), 0.2, dim)
-    basis = BasisPair.position_fock(dim, default_grid(dim=dim, points=60))
-    dist = s_distribution(rho, basis)
-
-    def triangle(a, b):
-        return np.maximum(0.0, 1.0 - np.abs(a - b) / 0.5) / 0.5
-
-    with pytest.raises(ValueError, match="its own grid"):
-        effective_distribution(dist, custom_kernel(triangle,
-                                                   grid=trapezoid_grid(8.0, 321)))
-    # an equal copy of the grid is the same grid
-    own = custom_kernel(triangle, grid=QuadratureGrid(basis.phi_grid.points.copy(),
-                                                      basis.phi_grid.weights.copy()))
-    marginal = marginal_over_xi(effective_distribution(dist, own))
-    expected = effective_marginal(rho, own)(basis.phi_grid.points)
-    assert np.max(np.abs(marginal - expected)) < 1e-12
-
-
 def _smear_cases(rng):
     """(basis name, S distribution) on the fock, momentum and custom bases."""
     dim = 40
@@ -354,10 +316,9 @@ def test_effective_distribution_matches_dense_smear(rng, eta):
 
 
 def _dense_smear_cases():
-    """(label, S distribution, kernel, kernel scale): Gaussian kernels from eta
-    0.5 to 0.9999 on the fock and momentum bases over 200-, 201- and 400-node
-    Gauss-Legendre grids and a grid with inserted nodes, and custom kernels
-    with subnormal tails and of scale 1e250."""
+    """(label, S distribution, kernel): Gaussian kernels from eta 0.5 to
+    0.9999 on the fock and momentum bases over 200-, 201- and 400-node
+    Gauss-Legendre grids and a grid with inserted nodes."""
     dim = 40
     alpha = alpha_from_quadratures(1.3, 0.6)
     rho = displaced_thermal_state(alpha, 0.4, dim)
@@ -371,29 +332,20 @@ def _dense_smear_cases():
             dist = s_distribution(rho, basis)
             for eta in (0.5, 0.9, 0.99, 0.999, 0.9999):
                 yield f"{name} {grid.size} eta={eta}", dist, gaussian_kernel(
-                    sigma_from_efficiency(eta)), 1.0
-    gauss = gaussian_kernel(sigma_from_efficiency(0.999))
-    tails = custom_kernel(gauss.func, grid=grids[2])
-    x = grids[2].points
-    table = gauss(x[:, None], x[None, :])
-    assert np.any((table > 0) & (table < np.finfo(float).tiny))
-    big = custom_kernel(lambda a, b: 1e250 * gauss(a, b), grid=grids[2])
-    for kernel, scale in ((tails, 1.0), (big, 1e250)):
-        yield f"custom x{scale:g}", s_distribution(
-            rho, BasisPair.position_momentum(dim, grids[2], grids[2])), kernel, scale
+                    sigma_from_efficiency(eta))
 
 
 def test_effective_distribution_matches_full_dense_product():
     # dropping weights below 2^-53 of their row's largest, and multiplying
     # row blocks over their kept columns only, stays within round-off of the
-    # full product kernel(x, x) w @ V, sub-tiny and subnormal weights included
-    for label, dist, kernel, scale in _dense_smear_cases():
+    # full product kernel(x, x) w @ V, sub-tiny weights included
+    for label, dist, kernel in _dense_smear_cases():
         x, w = dist.basis.phi_grid.points, dist.basis.phi_grid.weights
         full = kernel(x[:, None], x[None, :]) * w
         for src in (dist, t_distribution(dist)):
             got = effective_distribution(src, kernel).values
             ref = full @ src.values
-            bound = 1e-14 * scale * np.max(np.abs(src.values))
+            bound = 1e-14 * np.max(np.abs(src.values))
             assert np.max(np.abs(got - ref)) <= bound, (label, src.kind)
 
 
@@ -433,7 +385,7 @@ def test_effective_distribution_multiplies_no_sub_tiny_weight(monkeypatch):
 
     monkeypatch.setattr(quasiprob, "smear_matrix", recorded)
     sub_tiny_tables = 0
-    for label, dist, kernel, scale in _dense_smear_cases():
+    for label, dist, kernel in _dense_smear_cases():
         tables.clear()
         effective_distribution(dist, kernel)
         ((table, blocks),) = tables
@@ -445,17 +397,6 @@ def test_effective_distribution_multiplies_no_sub_tiny_weight(monkeypatch):
             kept_floor = 2.0 ** -53 * size.max(axis=1, keepdims=True)
             assert np.all((size == 0) | (size >= kept_floor)), label
     assert sub_tiny_tables > 0
-
-
-def test_effective_distribution_large_custom_kernel_stays_finite(rng):
-    # a fixed 2^500 lift would overflow a kernel of scale 1e250
-    gauss = gaussian_kernel(sigma_from_efficiency(0.9))
-    name, dist = next(c for c in _smear_cases(rng) if c[0] == "momentum")
-    big = custom_kernel(lambda a, b: 1e250 * gauss(a, b), grid=dist.basis.phi_grid)
-    want = effective_distribution(dist, gauss).values
-    got = effective_distribution(dist, big).values
-    assert np.all(np.isfinite(got.view(float)))
-    assert np.max(np.abs(got / 1e250 - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_effective_distribution_of_zero_grid_is_zero():

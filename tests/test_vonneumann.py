@@ -14,7 +14,6 @@ from weakmeas import (
     alpha_from_quadratures,
     coherent_state,
     conditional_pointer_shift,
-    custom_kernel,
     default_grid,
     displaced_thermal_state,
     effective_marginal,
@@ -245,25 +244,6 @@ def _values_mean(table, phi):
     return float(q_grid.weights @ (q_grid.points * row) / (q_grid.weights @ row))
 
 
-def test_biased_readout_kernel_offsets_conditional_mean_by_its_bias():
-    bias, sigma = 0.3, 0.4
-    norm = 1.0 / (math.sqrt(2 * math.pi) * sigma)
-
-    def biased(Q, Qp):
-        return norm * np.exp(-((np.asarray(Q) - np.asarray(Qp) - bias) ** 2)
-                             / (2 * sigma * sigma))
-
-    rho = coherent_state(alpha_from_quadratures(1.0, 0.0), 24)
-    nu = make_operator("hamiltonian", 24)
-    joint = evolve_exact(rho, PointerState.gaussian(), nu, 0.05)
-    phi_grid = default_grid(dim=24, points=100).with_points([0.5])
-    q_grid = QuadratureGrid.gauss_legendre(14.0, 700)
-    fair = joint_distribution(joint, None, gaussian_kernel(sigma), phi_grid, q_grid)
-    skew = joint_distribution(joint, None, custom_kernel(biased, sigma, grid=q_grid), phi_grid,
-                              q_grid)
-    assert _values_mean(skew, 0.5) - _values_mean(fair, 0.5) == pytest.approx(bias, abs=1e-10)
-
-
 def test_conditional_mean_requires_grid_node():
     table = _shift_setup(1.0, PointerState.gaussian(), [0.0])
     with pytest.raises(ValueError, match="not a node"):
@@ -308,19 +288,6 @@ def test_border_density_is_the_diagonal_of_the_pair_gaussians(pointer, monkeypat
         monkeypatch.undo()
         assert len(reduced) == 1
         assert reduced[0].tobytes() == expected.tobytes()
-
-
-# on the 161-node trapezoid readout grid of the table tests; a test that
-# integrates phi with it moves it onto its phi grid (``_on``)
-SMOOTH_CUSTOM = custom_kernel(gaussian_kernel(0.4).func, 0.4,
-                              grid=trapezoid_grid(16.0, 161))
-
-
-def _on(kernel, grid):
-    """``kernel``, a custom one moved onto ``grid``."""
-    if kernel is None or kernel.kind != "custom":
-        return kernel
-    return dataclasses.replace(kernel, grid=grid)
 
 
 def _rank(rho):
@@ -411,8 +378,7 @@ def _other_setups(dim, phi):
 
 def test_shift_refuses_a_baseline_of_another_setup():
     """The baseline enters no number: one of another setup at eps = 0 gives
-    the same shift to the bit.  A baseline at eps != 0 is refused, and so is
-    a custom Q kernel, which may be biased."""
+    the same shift to the bit.  A baseline at eps != 0 is refused."""
     dim, eps, phi = 20, 1e-3, 0.5
     table, others = _other_setups(dim, phi)
     evolved = table(eps)
@@ -421,13 +387,9 @@ def test_shift_refuses_a_baseline_of_another_setup():
         assert conditional_pointer_shift(evolved, phi, baseline) == want
     with pytest.raises(ValueError, match="eps = 0"):
         conditional_pointer_shift(evolved, phi, table(eps / 2.0))
-    with pytest.raises(ValueError, match="custom Q kernel"):
-        conditional_pointer_shift(table(eps, kernel_q=SMOOTH_CUSTOM), phi,
-                                  table(0.0, kernel_q=SMOOTH_CUSTOM))
 
 
-@pytest.mark.parametrize("kernel_q", [None, SMOOTH_CUSTOM], ids=["closed_form", "custom_q"])
-def test_shift_refuses_vanishing_postselection(kernel_q):
+def test_shift_refuses_vanishing_postselection():
     dim = 12
     rho = _fock(1, dim)  # psi_1(0) = 0: phi = 0 is never postselected
     nu = make_operator("number", dim)
@@ -435,8 +397,8 @@ def test_shift_refuses_vanishing_postselection(kernel_q):
     q_grid = QuadratureGrid.gauss_legendre(14.0, 100)
     baseline, table = (
         joint_distribution(evolve_exact(rho, PointerState.gaussian(), nu, e),
-                           None, kernel_q, phi_grid, q_grid) for e in (0.0, 1e-3))
-    with pytest.raises(ValueError, match="below 1e-12" if kernel_q is None else "custom Q"):
+                           None, None, phi_grid, q_grid) for e in (0.0, 1e-3))
+    with pytest.raises(ValueError, match="below 1e-12"):
         conditional_pointer_shift(table, 0.0, baseline)
 
 
@@ -463,18 +425,17 @@ def test_table_values_are_smeared_position_density():
     nodes for a smeared Q axis), smeared onto the table's points by
     ``smear_matrix``.  The trapezoid rule resolves the eta = 0.999 kernel
     (sigma_eta = 0.022, 4.8 node spacings), where a smear on the table's own
-    grid is 0.27 of the largest value off; a custom kernel, whose rule is its
-    own grid, here the table's grid of its axis, is smooth enough for that
-    grid.  Every eighth phi row."""
+    grid is 0.27 of the largest value off.  Every eighth phi row."""
     dim, eps = 16, 0.2
-    kernels = {"projective": None, "custom": SMOOTH_CUSTOM, "gaussian": gaussian_kernel(0.3),
+    kernels = {"projective": None, "gaussian 0.4": gaussian_kernel(0.4),
+               "gaussian": gaussian_kernel(0.3),
                **{f"eta {eta}": gaussian_kernel(sigma_from_efficiency(eta))
                   for eta in (0.9, 0.99, 0.999)}}
-    cases = [("eta 0.999", "projective"), ("eta 0.99", "gaussian"), ("eta 0.9", "custom"),
-             ("custom", "custom"), ("projective", "gaussian")]  # (phi kernel, Q kernel)
+    cases = [("eta 0.999", "projective"), ("eta 0.99", "gaussian"), ("eta 0.9", "gaussian 0.4"),
+             ("gaussian 0.4", "gaussian 0.4"),
+             ("projective", "gaussian")]  # (phi kernel, Q kernel)
     phi_fine, q_fine = trapezoid_grid(14.0, 6000), trapezoid_grid(18.0, 361)
     phi_grid, q_grid = default_grid(dim=dim), trapezoid_grid(16.0, 161)
-    assert np.array_equal(SMOOTH_CUSTOM.grid.points, q_grid.points)
     rows = phi_grid.points[::8]
     failures = []
     for pointer, name in ((PointerState.gaussian(0.9), "single"), (MIXTURE, "mixture")):
@@ -484,7 +445,7 @@ def test_table_values_are_smeared_position_density():
             joint = evolve_exact(rho, pointer, make_operator("hamiltonian", dim), eps)
             densities = {}  # position_density per (smeared phi, smeared Q)
             for phi_name, q_name in cases:
-                kernel_phi, kernel_q = _on(kernels[phi_name], phi_grid), kernels[q_name]
+                kernel_phi, kernel_q = kernels[phi_name], kernels[q_name]
                 table = joint_distribution(joint, kernel_phi, kernel_q, phi_grid, q_grid)
                 smeared = (kernel_phi is not None, kernel_q is not None)
                 if smeared not in densities:
@@ -509,14 +470,13 @@ def test_table_values_are_smeared_position_density():
                          ids=["single", "mixture"])
 @pytest.mark.parametrize("n_th", [0.0, 0.8], ids=["rank1", "full_rank"])
 @pytest.mark.parametrize("kernel_phi", [
-    None, gaussian_kernel(0.4), gaussian_kernel(sigma_from_efficiency(0.99)), SMOOTH_CUSTOM,
-], ids=["phi_projective", "phi_gaussian", "phi_eta_0.99", "phi_custom"])
+    None, gaussian_kernel(0.4), gaussian_kernel(sigma_from_efficiency(0.99)),
+], ids=["phi_projective", "phi_gaussian", "phi_eta_0.99"])
 def test_exact_readout_matches_fine_table_route(pointer, n_th, kernel_phi):
     """The closed-form shift, read from tables on the 400-node default phi
     grid, against the table route: the means of ``values`` at the node on a
     1000-node phi grid.  The values of a projective or Gaussian phi kernel
-    take the exact postselection rule on any grid; a custom kernel's take
-    its own grid, the 400-node one, as the rule of both tables."""
+    take the exact postselection rule on any grid."""
     dim, eps, phi = 20, 0.05, 0.37
     rho = displaced_thermal_state(alpha_from_quadratures(0.9, 0.4), n_th, dim)
     nu = make_operator("hamiltonian", dim)
@@ -524,7 +484,6 @@ def test_exact_readout_matches_fine_table_route(pointer, n_th, kernel_phi):
     assert _rank(rho) == (1 if n_th == 0.0 else dim)
     _assert_state_is_rotated(joints[0], rho, nu)
     q_grid = trapezoid_grid(16.0, 161)  # trapezoid: resolves the 0.3 Q smear
-    kernel_phi = _on(kernel_phi, default_grid(dim=dim, points=400).with_points([phi]))
 
     def tables(points, kernel_q):
         phi_grid = default_grid(dim=dim, points=points).with_points([phi])
@@ -539,17 +498,16 @@ def test_exact_readout_matches_fine_table_route(pointer, n_th, kernel_phi):
 @pytest.mark.parametrize("pointer", [PointerState.gaussian(0.9), MIXTURE],
                          ids=["single", "mixture"])
 @pytest.mark.parametrize("n_th", [0.0, 0.8], ids=["rank1", "full_rank"])
-@pytest.mark.parametrize("kernel_phi", [None, gaussian_kernel(0.4), SMOOTH_CUSTOM],
-                         ids=["phi_projective", "phi_gaussian", "phi_custom"])
+@pytest.mark.parametrize("kernel_phi", [None, gaussian_kernel(0.4)],
+                         ids=["phi_projective", "phi_gaussian"])
 def test_pointer_shift_is_the_table_shift(pointer, n_th, kernel_phi):
     """The shift read from the evolved state alone is the table route's to
-    the bit, a custom phi kernel's too: it integrates on its own grid."""
+    the bit."""
     dim, eps, phi = 20, 0.05, 0.37
     rho = displaced_thermal_state(alpha_from_quadratures(0.9, 0.4), n_th, dim)
     start = evolve_exact(rho, pointer, make_operator("hamiltonian", dim), 0.0)
     joint = evolve_further(start, eps)
     phi_grid = default_grid(dim=dim, points=80).with_points([phi])
-    kernel_phi = _on(kernel_phi, phi_grid)
     baseline, table = (joint_distribution(j, kernel_phi, None, phi_grid,
                                           QuadratureGrid.gauss_legendre(16.0, 100))
                        for j in (start, joint))
@@ -557,14 +515,13 @@ def test_pointer_shift_is_the_table_shift(pointer, n_th, kernel_phi):
     assert pointer_shift(joint, kernel_phi or gaussian_kernel(0.0), phi) == want
 
 
-def test_custom_kernel_agrees_on_every_route():
-    """A custom kernel integrates on its own 300-node grid on every route,
+def test_gaussian_kernel_agrees_on_every_route():
+    """A Gaussian kernel takes the exact postselection rule on every route,
     whatever the table's 80-node phi grid: the closed-form shift is the
     table's to the bit, the trace formula is the distribution route's, and
     the eps = 0 table's phi marginal is ``effective_marginal``."""
     dim, eps, phi = 20, 0.05, 0.37
-    kernel = custom_kernel(gaussian_kernel(0.4).func, 0.4,
-                           grid=default_grid(dim=dim, points=300))
+    kernel = gaussian_kernel(0.4)
     rho = displaced_thermal_state(alpha_from_quadratures(0.9, 0.4), 0.8, dim)
     nu = make_operator("hamiltonian", dim)
     phi_grid = default_grid(dim=dim, points=80).with_points([phi])
